@@ -11,8 +11,8 @@ Paper (on a 40ns RS/6K model 530, real SPEC sources):
 We measure the same quantity -- wall-clock compile time with the full
 Section 6 pipeline vs the BASE compiler -- on the SPEC-like kernels.
 Absolute seconds are incomparable (different decade, different sources);
-the reproduction target is a consistent positive overhead in the tens of
-percent, dominated by PDG construction and the extra scheduling passes.
+the reproduction target is a consistent positive overhead.  EXPERIMENTS.md
+splits it by layer with the repository benchmark's traced run.
 """
 
 from repro import ScheduleLevel, compile_c

@@ -4,18 +4,14 @@ The dense analysis core re-hosted :class:`repro.cfg.dominators.DominatorTree`,
 :func:`repro.cfg.loops.is_reducible` and :class:`repro.cfg.loops.LoopNest` on
 ``array('i')`` rows over int node indices.  This module preserves the seed's
 dict-of-nodes implementations verbatim, as equivalence oracles for the
-property suite (``tests/dataflow/test_dense_equivalence.py``) and as the
-measured baseline of the ``analysis`` section of
-``benchmarks/perf/run_pipeline_bench.py``.
+property suite (``tests/dataflow/test_dense_equivalence.py``).
 
-:func:`reference_cfg_analyses` patches the dense implementations out for the
-duration of a ``with`` block, following the context-manager pattern of
-:mod:`repro.pdg.reference`.
+:func:`repro.dataflow.reference.reference_analyses` patches the dense
+implementations out for the duration of a ``with`` block.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Hashable
 
 from .digraph import Digraph
@@ -200,8 +196,8 @@ class LoopNestReference:
 
 def _cfg_reference_patches() -> list[tuple]:
     """(module, attribute, reference value) triples restoring the seed
-    CFG analyses; shared by :func:`reference_cfg_analyses` and the full
-    :func:`repro.pdg.reference.seed_pipeline`."""
+    CFG analyses, for
+    :func:`repro.dataflow.reference.reference_analyses`."""
     from ..dataflow import cache as dataflow_cache
     from ..sched import regions as sched_regions
     from ..xform import ctr as xform_ctr
@@ -216,17 +212,3 @@ def _cfg_reference_patches() -> list[tuple]:
         (xform_strength, "LoopNest", LoopNestReference),
         (xform_ctr, "LoopNest", LoopNestReference),
     ]
-
-
-@contextmanager
-def reference_cfg_analyses():
-    """Run with the seed dominator/loop/reducibility implementations."""
-    patches = _cfg_reference_patches()
-    saved = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]
-    for mod, name, value in patches:
-        setattr(mod, name, value)
-    try:
-        yield
-    finally:
-        for mod, name, value in saved:
-            setattr(mod, name, value)

@@ -1,17 +1,13 @@
-"""Dataflow analyses: liveness (live-on-exit) and reaching definitions."""
+"""Dataflow analyses: liveness (live-on-exit)."""
 
 from .cache import AnalysisCache
-from .engine import solve_backward, solve_forward
+from .engine import solve_backward
 from .liveness import LivenessInfo, block_use_def, compute_liveness
-from .reaching import Definition, ReachingDefinitions
 
 __all__ = [
     "AnalysisCache",
-    "Definition",
     "LivenessInfo",
-    "ReachingDefinitions",
     "block_use_def",
     "compute_liveness",
     "solve_backward",
-    "solve_forward",
 ]

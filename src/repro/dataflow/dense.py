@@ -1,10 +1,10 @@
 """Function-wide register interning: ``Reg`` -> dense bit position.
 
-Every dense analysis (liveness, reaching kills, interference rows) and the
-scheduler's live-on-exit tracker speak the same bitmask dialect: a register
-is a bit position, a register set is an int.  :class:`RegTable` owns the
-``Reg -> bit`` dict for one function so the interning pass happens once and
-every downstream mask is directly comparable.
+The dense liveness solve and the scheduler's live-on-exit tracker speak
+the same bitmask dialect: a register is a bit position, a register set is
+an int.  :class:`RegTable` owns the ``Reg -> bit`` dict for one function so
+the interning pass happens once and every downstream mask is directly
+comparable.
 
 The dict uses the exact convention of the PR-5 tracker
 (:class:`repro.sched.speculation.LiveOnExitTracker`): the next bit is
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..ir.operand import Reg, RegClass
+from ..ir.operand import Reg
 
 #: byte value -> tuple of set bit offsets; masks materialize byte-at-a-time
 #: through this table instead of a quadratic lowest-bit-clear loop (every
@@ -26,23 +26,10 @@ from ..ir.operand import Reg, RegClass
 BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
 
 
-def bits_of(mask: int) -> list[int]:
-    """Set bit positions of ``mask``, ascending."""
-    out: list[int] = []
-    if not mask:
-        return out
-    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
-    for base, byte in enumerate(data):
-        if byte:
-            base8 = base << 3
-            out += [base8 + b for b in BYTE_BITS[byte]]
-    return out
-
-
 class RegTable:
     """Append-only ``Reg`` <-> dense bit interning for one function."""
 
-    __slots__ = ("bit", "mask", "_regs", "_class_masks")
+    __slots__ = ("bit", "mask", "_regs")
 
     def __init__(self, bit: dict[Reg, int] | None = None):
         #: Reg -> bit position; shareable with the scheduler's intern cache
@@ -53,19 +40,9 @@ class RegTable:
         #: the table's back), so readers fall back to ``bit`` on a miss.
         self.mask: dict[Reg, int] = {}
         self._regs: list[Reg] = []
-        #: RegClass -> (bits scanned, mask); extended lazily on query
-        self._class_masks: dict[RegClass, tuple[int, int]] = {}
 
     def __len__(self) -> int:
         return len(self.bit)
-
-    def bit_of(self, reg: Reg) -> int:
-        """The register's bit position (interning it on first sight)."""
-        bit = self.bit
-        b = bit.get(reg)
-        if b is None:
-            b = bit[reg] = len(bit)
-        return b
 
     def mask_of(self, regs: Iterable[Reg]) -> int:
         """The int bitmask of a register set (interning new registers)."""
@@ -90,9 +67,6 @@ class RegTable:
             regs[:] = self.bit
         return regs
 
-    def reg_of(self, bit: int) -> Reg:
-        return self._row()[bit]
-
     def regs_of(self, mask: int) -> set[Reg]:
         """Materialize a bitmask back into a set of registers."""
         out: set[Reg] = set()
@@ -107,16 +81,3 @@ class RegTable:
                 for b in BYTE_BITS[byte]:
                     add(regs[base8 + b])
         return out
-
-    def class_mask(self, rclass: RegClass) -> int:
-        """Mask of every interned register of ``rclass`` (lazily extended
-        as the table grows)."""
-        done, mask = self._class_masks.get(rclass, (0, 0))
-        n = len(self.bit)
-        if done != n:
-            regs = self._row()
-            for b in range(done, n):
-                if regs[b].rclass is rclass:
-                    mask |= 1 << b
-            self._class_masks[rclass] = (n, mask)
-        return mask

@@ -1,23 +1,17 @@
-"""Worklist solvers for forward/backward may-dataflow.
-
-Both liveness (backward) and reaching definitions (forward) are
-instances; writing the fixed-point loop once keeps the two analyses small
-and obviously correct.
+"""Fixed-point solvers for backward may-dataflow (liveness).
 
 Two dialects share the file:
 
-* :func:`solve_backward_masks` / :func:`solve_forward_masks` -- the dense
-  engine the compiler runs on.  Facts are int bitmasks (registers or
-  definition sites interned to bit positions), blocks are int indices
-  into a :class:`repro.cfg.dense.DenseCFG` CSR snapshot, and gen/kill
-  transfer is two machine-int ops; the meet is a big-int OR.
-* :func:`solve_backward` / :func:`solve_forward` -- the seed's generic
-  set-based engine, kept as the public API for arbitrary transfer
-  functions (and as the substrate of the reference oracles in
-  :mod:`repro.dataflow.reference`).
+* :func:`solve_backward_masks` -- the dense engine the compiler runs on.
+  Facts are int bitmasks (registers interned to bit positions), blocks
+  are int indices into a :class:`repro.cfg.dense.DenseCFG` CSR snapshot,
+  and gen/kill transfer is two machine-int ops; the meet is a big-int OR.
+* :func:`solve_backward` -- the seed's generic set-based worklist solver,
+  kept as the public API for arbitrary transfer functions (and as the
+  substrate of the liveness oracle in :mod:`repro.dataflow.reference`).
 
-Both dialects visit *every* node (the mask solvers sweep, the set solvers
-run a worklist), so forward-unreachable blocks still reach the same fixed
+Both dialects visit *every* node (the mask solver sweeps, the set solver
+runs a worklist), so blocks that reach no exit still reach the same fixed
 point, and a unique least fixed point makes the two provably
 order-insensitive -- the property the equivalence suite pins down.
 """
@@ -72,44 +66,6 @@ def solve_backward(
     return out_sets
 
 
-def solve_forward(
-    graph: Digraph,
-    nodes: Iterable[Node],
-    transfer: Transfer,
-    entry: Node,
-    boundary: frozenset = frozenset(),
-) -> dict[Node, frozenset]:
-    """Solve a forward may-analysis; returns the *in* set of every node."""
-    nodes = list(nodes)
-    in_sets: dict[Node, frozenset] = {n: frozenset() for n in nodes}
-    out_sets: dict[Node, frozenset] = {n: frozenset() for n in nodes}
-    if entry in in_sets:
-        in_sets[entry] = boundary
-    work = deque(nodes)
-    in_work = set(nodes)
-    while work:
-        node = work.popleft()
-        in_work.discard(node)
-        preds = [p for p in graph.preds(node) if p in out_sets]
-        if preds:
-            new_in = frozenset().union(*(out_sets[p] for p in preds))
-            if node == entry:
-                new_in |= boundary
-        elif node == entry:
-            new_in = boundary
-        else:
-            new_in = frozenset()
-        in_sets[node] = new_in
-        new_out = transfer(node, new_in)
-        if new_out != out_sets[node]:
-            out_sets[node] = new_out
-            for succ in graph.succs(node):
-                if succ in in_sets and succ not in in_work:
-                    work.append(succ)
-                    in_work.add(succ)
-    return in_sets
-
-
 def solve_backward_masks(
     dense,
     nodes: Sequence[int],
@@ -159,46 +115,3 @@ def solve_backward_masks(
                 inm[v] = new_in
                 changed = True
     return out
-
-
-def solve_forward_masks(
-    dense,
-    nodes: Sequence[int],
-    gen: Sequence[int],
-    kill: Sequence[int],
-    entry: int,
-    boundary: int = 0,
-) -> list[int]:
-    """Dense forward may-analysis: ``out = gen | (in & ~kill)``.
-
-    Returns the *in* mask of every index; ``entry`` additionally receives
-    ``boundary``.  Same sweep scheme as :func:`solve_backward_masks`,
-    mirrored: forward facts flow from predecessors, so the sweeps run in
-    the given (layout) node order.
-    """
-    pred_off, pred_idx = dense.pred_off, dense.pred_idx
-    active = bytearray(len(dense.nodes))
-    for v in nodes:
-        active[v] = 1
-    sweep = []
-    for v in nodes:
-        row = [p for p in pred_idx[pred_off[v]:pred_off[v + 1]] if active[p]]
-        sweep.append((v, row or None, gen[v], ~kill[v]))
-    inm = [0] * len(active)
-    outm = [0] * len(active)
-    if active[entry]:
-        inm[entry] = boundary
-    changed = True
-    while changed:
-        changed = False
-        for v, row, g, not_kill in sweep:
-            new_in = boundary if v == entry else 0
-            if row is not None:
-                for p in row:
-                    new_in |= outm[p]
-            inm[v] = new_in
-            new_out = g | (new_in & not_kill)
-            if new_out != outm[v]:
-                outm[v] = new_out
-                changed = True
-    return inm

@@ -120,15 +120,6 @@ class LivenessInfo:
         return solve_backward_masks(dense, nodes, self._use_m, self._def_m,
                                     boundary)
 
-    # -- mask-level queries (dense consumers: interference, the cache) ----
-
-    def live_out_mask(self, label: str) -> int:
-        return self._out_m[self.dense.index[label]]
-
-    def live_in_mask(self, label: str) -> int:
-        i = self.dense.index[label]
-        return self._use_m[i] | (self._out_m[i] & ~self._def_m[i])
-
     # -- queries ----------------------------------------------------------
 
     def live_out(self, block: BasicBlock | str) -> frozenset[Reg]:

@@ -1,22 +1,18 @@
 """Reference (seed) implementations of the dataflow analyses.
 
-The dense analysis core re-hosted the worklist solver, ``LivenessInfo``
-and ``ReachingDefinitions`` on int bitmasks over a shared
-:class:`repro.dataflow.dense.RegTable`.  This module preserves the seed's
-frozenset implementations verbatim:
+The dense analysis core re-hosted the worklist solver and ``LivenessInfo``
+on int bitmasks over a shared :class:`repro.dataflow.dense.RegTable`.
+This module preserves the seed's frozenset implementation verbatim:
 
 * :class:`LivenessInfoReference` / :func:`compute_liveness_reference`;
-* :class:`ReachingDefinitionsReference`;
 * :func:`reference_analyses` -- a context manager running the *whole*
   compiler with the dense analysis core switched off (CFG layer included,
-  plus the dense basic-block scheduler), for the equivalence suite and
-  the measured baseline arm of ``benchmarks/perf``.
+  plus the dense basic-block scheduler), for the equivalence suite.
 
 The seed's generic set-based worklist solver never left
 :mod:`repro.dataflow.engine` (it remains the public generic API next to
-the mask solvers); both reference analyses here drive it exactly as the
-seed did.  ``Definition`` is shared with :mod:`repro.dataflow.reaching`
-so dense and reference results compare equal.
+the mask solver); the reference liveness here drives it exactly as the
+seed did.
 """
 
 from __future__ import annotations
@@ -26,10 +22,8 @@ from contextlib import contextmanager
 from ..cfg.graph import EXIT, ControlFlowGraph
 from ..ir.basic_block import BasicBlock
 from ..ir.function import Function
-from ..ir.instruction import Instruction
 from ..ir.operand import Reg
-from .engine import solve_backward, solve_forward
-from .reaching import Definition
+from .engine import solve_backward
 
 
 def block_use_def_reference(block: BasicBlock) -> tuple[set[Reg], set[Reg]]:
@@ -112,71 +106,10 @@ def compute_liveness_reference(
                                  live_at_exit)
 
 
-class ReachingDefinitionsReference:
-    """Solved reaching definitions (seed frozenset implementation)."""
-
-    def __init__(self, func: Function, cfg: ControlFlowGraph | None = None):
-        self.func = func
-        self.cfg = cfg or ControlFlowGraph(func)
-        self._gen: dict[str, frozenset[Definition]] = {}
-        self._kill_regs: dict[str, frozenset[Reg]] = {}
-        self._all_defs: dict[Reg, set[Definition]] = {}
-        for block in func.blocks:
-            last_def: dict[Reg, Definition] = {}
-            for ins in block.instrs:
-                for reg in ins.reg_defs():
-                    d = Definition(ins.uid, reg)
-                    last_def[reg] = d
-                    self._all_defs.setdefault(reg, set()).add(d)
-            self._gen[block.label] = frozenset(last_def.values())
-            self._kill_regs[block.label] = frozenset(last_def)
-        self._in_sets = self._solve()
-
-    def _solve(self) -> dict[str, frozenset[Definition]]:
-        labels = [b.label for b in self.func.blocks]
-
-        def transfer(label: str, in_set: frozenset) -> frozenset:
-            killed = self._kill_regs[label]
-            surviving = frozenset(d for d in in_set if d.reg not in killed)
-            return surviving | self._gen[label]
-
-        graph = self.cfg.graph.subgraph(labels)
-        return solve_forward(graph, labels, transfer,
-                             entry=self.func.entry.label)
-
-    # -- queries ------------------------------------------------------------
-
-    def reaching_in(self, label: str) -> frozenset[Definition]:
-        """Definitions that may reach the entry of block ``label``."""
-        return self._in_sets[label]
-
-    def defs_of(self, reg: Reg) -> frozenset[Definition]:
-        """All definition sites of ``reg`` in the function."""
-        return frozenset(self._all_defs.get(reg, ()))
-
-    def reaching_before(self, label: str,
-                        ins: Instruction) -> frozenset[Definition]:
-        """Definitions that may reach the point just before ``ins``."""
-        block = self.func.block(label)
-        live: dict[Reg, set[Definition]] = {}
-        for d in self._in_sets[label]:
-            live.setdefault(d.reg, set()).add(d)
-        for candidate in block.instrs:
-            if candidate is ins:
-                break
-            for reg in candidate.reg_defs():
-                live[reg] = {Definition(candidate.uid, reg)}
-        return frozenset(d for defs in live.values() for d in defs)
-
-
 def _analysis_reference_patches() -> list[tuple]:
     """Every (module, attribute, reference value) needed to run the
-    compiler with the dense analysis core switched off.  Shared by
-    :func:`reference_analyses` and
-    :func:`repro.pdg.reference.seed_pipeline` (the perf baseline arm)."""
+    compiler with the dense analysis core switched off."""
     from ..cfg.reference import _cfg_reference_patches
-    from ..regalloc import allocator as regalloc_allocator
-    from ..regalloc.reference import build_interference_reference
     from ..sched import bb_sched
     from ..sched.reference import schedule_block_reference
     from ..verify import verifier as sched_verifier
@@ -188,8 +121,6 @@ def _analysis_reference_patches() -> list[tuple]:
         (dataflow_cache, "compute_liveness", compute_liveness_reference),
         (xform_rename, "compute_liveness", compute_liveness_reference),
         (sched_verifier, "compute_liveness", compute_liveness_reference),
-        (regalloc_allocator, "build_interference",
-         build_interference_reference),
         (bb_sched, "schedule_block", schedule_block_reference),
     ]
 
@@ -197,11 +128,10 @@ def _analysis_reference_patches() -> list[tuple]:
 @contextmanager
 def reference_analyses():
     """Run with every seed analysis implementation restored: dict-based
-    dominators/loops/reducibility, frozenset liveness, set-adjacency
-    interference, and the dict-state basic-block scheduler.  The dense
-    core and this arm must agree bit-for-bit on every analysis result and
-    byte-for-byte on emitted assembly
-    (``tests/dataflow/test_dense_equivalence.py``)."""
+    dominators/loops/reducibility, frozenset liveness, and the dict-state
+    basic-block scheduler.  The dense core and this arm must agree
+    bit-for-bit on every analysis result and byte-for-byte on emitted
+    assembly (``tests/dataflow/test_dense_equivalence.py``)."""
     patches = _analysis_reference_patches()
     saved = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]
     for mod, name, value in patches:

@@ -12,9 +12,8 @@ builder and the delay-aware transitive reduction:
 The optimized versions in :mod:`repro.pdg.data_deps` must compute exactly
 the same edge set (same endpoints, kinds and delays) and remove exactly the
 same edges.  These copies exist so that equivalence stays *testable*
-(``tests/pdg/test_reference_equivalence.py``) and the speedup stays
-*measurable* (``benchmarks/perf/``); they are not used by the compiler
-pipeline itself.
+(``tests/pdg/test_reference_equivalence.py``); they are not used by the
+compiler pipeline itself.
 """
 
 from __future__ import annotations
@@ -27,20 +26,8 @@ from ..ir.instruction import Instruction
 from ..ir.operand import Reg
 from ..machine.model import MachineModel
 from . import data_deps
-from .data_deps import DataDependenceGraph, DepEdge, DepKind, _edge_weight
+from .data_deps import DataDependenceGraph, DepKind, _edge_weight
 from .memory import AddressTracker, SymbolicAddress, may_conflict
-
-
-class _CopyingDDG(DataDependenceGraph):
-    """A DDG with the seed accessor behaviour: ``succs``/``preds`` return a
-    fresh list on every call (the optimized graph hands out read-only views
-    of its internal lists)."""
-
-    def succs(self, ins: Instruction) -> list[DepEdge]:
-        return list(self._succs.get(id(ins), ()))
-
-    def preds(self, ins: Instruction) -> list[DepEdge]:
-        return list(self._preds.get(id(ins), ()))
 
 
 class _BlockScanStateReference:
@@ -146,7 +133,7 @@ def build_region_ddg_reference(
     *, reduce: bool = True,
 ) -> DataDependenceGraph:
     """The seed region-DDG builder: O(B^2) pairwise interblock scans."""
-    ddg = _CopyingDDG()
+    ddg = DataDependenceGraph()
     for block in blocks:
         _scan_block_reference(ddg, block, machine)
     for i, earlier in enumerate(blocks):
@@ -214,9 +201,8 @@ def reference_pipeline():
 
     Swaps :func:`repro.pdg.data_deps.build_region_ddg` and
     :func:`~repro.pdg.data_deps.transitive_reduce` for their reference
-    twins for the duration of the ``with`` block.  The perf suite uses this
-    to measure end-to-end (compile / fuzz) throughput against the seed
-    behaviour without keeping two pipelines alive.
+    twins for the duration of the ``with`` block, so a whole compile can
+    be checked against the seed construction.
     """
     saved = (data_deps.build_region_ddg, data_deps.transitive_reduce)
     # pdg.pdg binds build_region_ddg at import time; patch it there too.
@@ -231,223 +217,3 @@ def reference_pipeline():
     finally:
         data_deps.build_region_ddg, data_deps.transitive_reduce = saved
         region_pdg_module.build_region_ddg = saved_pdg
-
-
-class DependenceStateReference:
-    """The seed :class:`repro.sched.ready.DependenceState`: readiness and
-    earliest start re-derived from the predecessor edges on every query."""
-
-    def __init__(self, ddg, machine):
-        self.ddg = ddg
-        self.machine = machine
-        self._fulfilled: set[int] = set()
-        self._local_start: dict[int, int] = {}
-        self._carry_start: dict[int, int] = {}
-
-    def edge_weight(self, edge) -> int:
-        if edge.kind is DepKind.FLOW:
-            return self.machine.exec_time(edge.src) + edge.delay
-        return 0
-
-    def begin_block(self, *, carry_cycles: int | None = None) -> None:
-        if carry_cycles is None:
-            self._carry_start = {}
-        else:
-            self._carry_start = {
-                key: start - carry_cycles
-                for key, start in self._local_start.items()
-            }
-        self._local_start.clear()
-
-    def mark_prefulfilled(self, ins) -> None:
-        self._fulfilled.add(id(ins))
-
-    def mark_issued(self, ins, cycle: int) -> None:
-        self._fulfilled.add(id(ins))
-        self._local_start[id(ins)] = cycle
-
-    def is_fulfilled(self, ins) -> bool:
-        return id(ins) in self._fulfilled
-
-    def deps_satisfied(self, ins) -> bool:
-        return all(
-            id(edge.src) in self._fulfilled for edge in self.ddg.preds(ins)
-        )
-
-    def earliest_start(self, ins) -> int:
-        earliest = 0
-        for edge in self.ddg.preds(ins):
-            start = self._local_start.get(id(edge.src))
-            if start is None:
-                start = self._carry_start.get(id(edge.src))
-            if start is not None:
-                earliest = max(earliest, start + self.edge_weight(edge))
-        return earliest
-
-    def start_of(self, ins) -> int | None:
-        return self._local_start.get(id(ins))
-
-
-def verify_function_reference(func) -> None:
-    """The seed IR verifier behaviour: every check formats its error
-    message (including the instruction ``repr``) whether it fails or not."""
-    from ..ir.opcodes import Opcode
-    from ..ir.operand import CR_EQ, CR_GT, CR_LT, RegClass
-    from ..ir.verify import VerificationError
-
-    def _check(cond, message):
-        if not cond:
-            raise VerificationError(message)
-
-    _check(bool(func.blocks), f"{func.name}: function has no blocks")
-    seen_uids: set[int] = set()
-    labels = {b.label for b in func.blocks}
-    _check(len(labels) == len(func.blocks), f"{func.name}: duplicate labels")
-    for block in func.blocks:
-        where = f"{func.name}/{block.label}"
-        for i, ins in enumerate(block.instrs):
-            _check(ins.uid >= 0, f"{where}: {ins!r} has no uid")
-            _check(ins.uid not in seen_uids,
-                   f"{where}: duplicate uid I{ins.uid}")
-            seen_uids.add(ins.uid)
-            is_last = i == len(block.instrs) - 1
-            _check(not ins.is_branch or is_last,
-                   f"{where}: branch {ins!r} is not the block terminator")
-            op = ins.opcode
-            _check((ins.mem is not None) == (op.is_load or op.is_store),
-                   f"{where}: {ins!r} memory operand mismatch")
-            if op in (Opcode.BT, Opcode.BF):
-                _check(ins.mask in (CR_LT, CR_GT, CR_EQ),
-                       f"{where}: {ins!r} mask must be a single LT/GT/EQ bit")
-                _check(len(ins.uses) == 1
-                       and ins.uses[0].rclass is RegClass.CR,
-                       f"{where}: {ins!r} must test a condition register")
-                _check(ins.target is not None,
-                       f"{where}: {ins!r} missing target")
-            if op in (Opcode.B, Opcode.BDNZ):
-                _check(ins.target is not None,
-                       f"{where}: {ins!r} missing target")
-            if op.is_compare:
-                _check(len(ins.defs) == 1
-                       and ins.defs[0].rclass is RegClass.CR,
-                       f"{where}: {ins!r} must define a condition register")
-            if op in (Opcode.L, Opcode.LU, Opcode.ST, Opcode.STU):
-                for reg in ins.defs + ins.uses:
-                    _check(reg.rclass is RegClass.GPR,
-                           f"{where}: {ins!r} fixed-point memory op uses {reg}")
-            if op is Opcode.LI:
-                _check(ins.imm is not None,
-                       f"{where}: {ins!r} missing immediate")
-            if op in (Opcode.AI, Opcode.SI, Opcode.ANDI, Opcode.ORI,
-                      Opcode.XORI, Opcode.SL, Opcode.SR, Opcode.SRA,
-                      Opcode.CI):
-                _check(ins.imm is not None,
-                       f"{where}: {ins!r} missing immediate")
-            if op.is_load:
-                _check(len(ins.defs) >= 1,
-                       f"{where}: {ins!r} load defines nothing")
-            if op is Opcode.CALL:
-                _check(ins.target, f"{where}: {ins!r} call needs a callee name")
-            if ins.target is not None and not ins.is_call:
-                _check(ins.target in labels,
-                       f"{where}: branch target {ins.target!r} does not exist")
-
-
-def _make_uncached_analyses():
-    """An :class:`repro.dataflow.cache.AnalysisCache` stand-in that
-    recomputes every analysis on every call (the seed pipeline rebuilt the
-    CFG, dominators, loop nest and liveness at each use site)."""
-    from ..dataflow.cache import AnalysisCache
-
-    class UncachedAnalyses(AnalysisCache):
-        def cfg(self):
-            self._cfg = None
-            return super().cfg()
-
-        def dominators(self):
-            self._cfg = None
-            self._dom = None
-            return super().dominators()
-
-        def loop_nest(self):
-            self._cfg = None
-            self._dom = None
-            self._nest = None
-            return super().loop_nest()
-
-        def liveness(self, live_at_exit):
-            self._cfg = None
-            self._liveness.clear()
-            self._dense = None
-            self._use_def = None
-            return super().liveness(live_at_exit)
-
-        def dense_cfg(self):
-            self._cfg = None
-            self._dense = None
-            return super().dense_cfg()
-
-        def block_use_def_masks(self):
-            self._use_def = None
-            return super().block_use_def_masks()
-
-    return UncachedAnalyses
-
-
-@contextmanager
-def seed_pipeline():
-    """Run the compiler with *every* reference (seed) hot path restored.
-
-    On top of :func:`reference_pipeline` (per-pair interblock scans,
-    heap-based reduction) this swaps in:
-
-    * :class:`DependenceStateReference` -- per-query readiness rescans;
-    * :func:`verify_function_reference` -- eager error-message formatting
-      in the post-pass IR verifier (``xform.pipeline`` call sites);
-    * an uncached analysis bundle -- CFG/dominators/loop-nest/liveness
-      rebuilt at every use site;
-    * the seed analysis implementations themselves
-      (:func:`repro.dataflow.reference._analysis_reference_patches`):
-      dict-based dominators/loops/reducibility, frozenset liveness,
-      set-adjacency interference, and the dict-state rescan basic-block
-      scheduler.
-
-    This is the fuzz-throughput baseline of ``benchmarks/perf``.  The
-    reference DDG builder itself also restores the seed's copy-returning
-    ``succs()``/``preds()`` (:class:`_CopyingDDG`) and per-loop-iteration
-    ``reg_uses()``/``reg_defs()`` scan.  A few seed costs are *not*
-    restorable from here and stay optimized in both arms (so measured
-    speedups understate the full gain): the cached ``Reg.__hash__`` and
-    the flattened ``Opcode`` flag attributes.
-    """
-    from ..dataflow.reference import _analysis_reference_patches
-    from ..ir import verify as ir_verify
-    from ..lang import lower as lang_lower
-    from ..sched import bb_sched, driver, global_sched
-    from ..sched.reference import LiveOnExitTrackerReference
-    from ..verify import verifier as sched_verifier
-    from ..xform import pipeline as xform_pipeline
-
-    uncached = _make_uncached_analyses()
-    patches = [
-        *_analysis_reference_patches(),
-        (global_sched, "_ENGINE", "scan"),
-        (global_sched, "DependenceState", DependenceStateReference),
-        (bb_sched, "DependenceState", DependenceStateReference),
-        (driver, "LiveOnExitTracker", LiveOnExitTrackerReference),
-        (xform_pipeline, "verify_function", verify_function_reference),
-        (ir_verify, "verify_function", verify_function_reference),
-        (sched_verifier, "verify_function", verify_function_reference),
-        (lang_lower, "verify_function", verify_function_reference),
-        (xform_pipeline, "AnalysisCache", uncached),
-        (driver, "AnalysisCache", uncached),
-    ]
-    saved = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]
-    with reference_pipeline():
-        for mod, name, value in patches:
-            setattr(mod, name, value)
-        try:
-            yield
-        finally:
-            for mod, name, value in saved:
-                setattr(mod, name, value)

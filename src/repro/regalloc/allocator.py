@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..dataflow.cache import AnalysisCache
-from ..dataflow.dense import bits_of
 from ..ir.function import Function
 from ..ir.instruction import Instruction
 from ..ir.opcodes import Opcode
@@ -165,22 +164,10 @@ def _coalesce_moves(
             limit = k.get(dst.rclass)
             if limit is None or graph.interferes(dst, src):
                 continue
-            if graph.rows is not None:
-                # Briggs test on the bitset rows: OR the two neighbour
-                # masks, drop the pair itself, popcount the significants
-                bit = graph.table.bit
-                rget = graph.rows.get
-                db, sb = bit[dst], bit[src]
-                combined_mask = ((rget(db, 0) | rget(sb, 0))
-                                 & ~((1 << db) | (1 << sb)))
-                significant = sum(
-                    1 for n in bits_of(combined_mask)
-                    if rget(n, 0).bit_count() >= limit)
-            else:
-                combined = (graph.adjacency.get(dst, set())
-                            | graph.adjacency.get(src, set())) - {dst, src}
-                significant = sum(1 for n in combined
-                                  if graph.degree(n) >= limit)
+            combined = (graph.adjacency.get(dst, set())
+                        | graph.adjacency.get(src, set())) - {dst, src}
+            significant = sum(1 for n in combined
+                              if graph.degree(n) >= limit)
             if significant >= limit:
                 continue
             # merge: dst disappears into src
@@ -212,8 +199,6 @@ def _coalesce_moves(
 def _color(graph: InterferenceGraph, k: dict[RegClass, int],
            unspillable: set[Reg]) -> tuple[dict[Reg, Reg], list[Reg]]:
     """One simplify/select pass; returns (mapping, actual spills)."""
-    if graph.rows is not None:
-        return _color_dense(graph, k, unspillable)
     mapping: dict[Reg, Reg] = {}
     spills: list[Reg] = []
     for rclass, limit in k.items():
@@ -254,66 +239,6 @@ def _color(graph: InterferenceGraph, k: dict[RegClass, int],
                 spills.append(reg)
             else:
                 mapping[reg] = Reg(rclass, colour)
-    return mapping, spills
-
-
-def _color_dense(graph: InterferenceGraph, k: dict[RegClass, int],
-                 unspillable: set[Reg]) -> tuple[dict[Reg, Reg], list[Reg]]:
-    """Dense-dialect twin of the simplify/select pass above.
-
-    Takes the *same* decisions with the same tie-breaks -- candidate is
-    the (degree, register index) minimum, the spill pick is the lowest-
-    index register of maximal degree -- but on the graph's bitset rows:
-    degrees are popcounts, removal is one mask OR, and the adjacency
-    sets never materialize.
-    """
-    table = graph.table
-    rget = graph.rows.get
-    regs_row = table._row()
-    mapping: dict[Reg, Reg] = {}
-    spills: list[Reg] = []
-    #: bit -> assigned colour index, filled as select pops the stack
-    colour_of: dict[int, int] = {}
-    for rclass, limit in k.items():
-        nodes = bits_of(graph.nodes_mask & table.class_mask(rclass))
-        degrees = {b: rget(b, 0).bit_count() for b in nodes}
-        removed_mask = 0
-        stack: list[int] = []
-        work = set(nodes)
-        while work:
-            best_key = None
-            candidate = -1
-            for b in work:
-                key = (degrees[b], regs_row[b].index)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    candidate = b
-            if best_key[0] >= limit:
-                # no trivially-colourable node: spill candidate of
-                # highest degree (Chaitin's cheap heuristic); values
-                # live past the function's end must not end their
-                # lives in a memory slot
-                choices = [b for b in work
-                           if regs_row[b] not in unspillable] or list(work)
-                candidate = min(
-                    choices,
-                    key=lambda b: (-degrees[b], regs_row[b].index))
-            work.discard(candidate)
-            removed_mask |= 1 << candidate
-            stack.append(candidate)
-            for n in bits_of(rget(candidate, 0) & ~removed_mask):
-                if n in degrees:
-                    degrees[n] -= 1
-        while stack:
-            b = stack.pop()
-            taken = {colour_of[n] for n in bits_of(rget(b, 0))
-                     if n in colour_of}
-            colour = next((c for c in range(limit) if c not in taken), None)
-            if colour is None:
-                spills.append(regs_row[b])
-            else:
-                colour_of[b] = colour
-                mapping[regs_row[b]] = Reg(rclass, colour)
     return mapping, spills
 
 

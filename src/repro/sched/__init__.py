@@ -4,7 +4,7 @@ from .bb_sched import schedule_block, schedule_function_blocks
 from .candidates import Candidate, ScheduleLevel, candidate_blocks, collect_candidates
 from .driver import GlobalScheduleReport, default_live_at_exit, global_schedule
 from .global_sched import Motion, RegionScheduleReport, schedule_region
-from .heuristics import StaticBlockPriority, local_priorities, priority_key
+from .heuristics import local_priorities, priority_key
 from .profiling import BranchProfile, make_profile_priority_fn, select_main_trace
 from .ready import DependenceState
 from .soa import DenseDependenceState, DenseReadyQueue, pack_rows
@@ -24,7 +24,6 @@ __all__ = [
     "DenseDependenceState",
     "DenseReadyQueue",
     "DependenceState",
-    "StaticBlockPriority",
     "pack_rows",
     "GlobalScheduleReport",
     "LiveOnExitTracker",

@@ -29,7 +29,6 @@ from ..ir.function import Function
 from ..machine.model import MachineModel
 from ..pdg.data_deps import build_block_ddg
 from .heuristics import local_priorities
-from .ready import DependenceState  # noqa: F401  (seed_pipeline patch seam)
 from .soa import _UNIT_INDEX, pack_rows
 
 _MAX_STALL = 10_000
@@ -39,8 +38,7 @@ def _initial_blocked(dense) -> list[int]:
     """Unfulfilled-predecessor count per dense index.
 
     The readiness authority of the block pass; a separate function so
-    fault-injection tests can break it (the dict-state analogue is
-    patching ``DependenceState.deps_satisfied``).
+    fault-injection tests can break it.
     """
     blocked = [0] * dense.n
     for j in dense.succ_idx:

@@ -29,17 +29,17 @@ predecessor fulfills -- keyed by priority tuples *packed into single
 ints* at collection time, with future earliest starts absorbed by a
 timing wheel and speculative candidates re-judged only when a motion
 actually grew a live-on-exit set their definitions appear in.  The seed's
-scan-driven loop is preserved verbatim in :mod:`repro.sched.reference`
-and selected by ``REPRO_SCHED_ENGINE=scan`` or automatically when a
-dynamic ``priority_fn`` makes keys uncacheable (static all-int custom
-orders can opt in via :class:`repro.sched.heuristics.StaticBlockPriority`);
-both engines produce byte-identical schedules, motions and traces
-(``tests/sched/test_event_scan_equivalence.py``).
+scan-driven loop survives only as the test oracle in
+:mod:`repro.sched.reference`; both produce byte-identical schedules,
+motions and traces (``tests/sched/test_event_scan_equivalence.py``).
+
+Packing keys at collection time is what makes ``priority_fn`` static by
+contract: it must return a tuple of ints, of one length for every
+instruction, fixed for the whole block pass.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from ..ir.instruction import Instruction
@@ -77,7 +77,6 @@ from .heuristics import (
     machine_free_exec,
     priority_key,
 )
-from .ready import DependenceState
 from .soa import DenseDependenceState, DenseReadyQueue, pack_rows
 from .soa import _ISSUED as _SEQ_ISSUED
 from .speculation import LiveOnExitTracker, try_rename_for_motion
@@ -88,15 +87,6 @@ _UNIT_LIST = tuple(UnitType)
 #: the full decision order of the sorted ready list: duplication class
 #: first (a global_sched refinement), then the Section 5.2 steps
 _FULL_PRIORITY_STEPS = ("duplication-class", *PRIORITY_STEPS)
-
-#: Which block-pass inner loop to run: ``"soa"`` (the struct-of-arrays
-#: event engine; ``"event"`` is accepted as an alias from the previous
-#: generation) or ``"scan"`` (the preserved seed loop in
-#: :mod:`repro.sched.reference`).  Overridable per-process via the
-#: ``REPRO_SCHED_ENGINE`` environment variable, per-extent via
-#: :func:`repro.sched.reference.scan_scheduler`, and forced to the scan
-#: path whenever a custom ``priority_fn`` makes keys dynamic.
-_ENGINE = os.environ.get("REPRO_SCHED_ENGINE", "soa")
 
 #: Safety valve: a block pass that stalls this many consecutive cycles
 #: without issuing anything indicates a dependence-state bug.
@@ -170,9 +160,11 @@ def schedule_region(
     register gets a fresh name when its def-use web is block-local (this is
     what turns I12's ``cr6`` into ``cr5`` in the paper's Figure 6).
 
-    ``priority_fn(ins, useful, priorities) -> sortable`` overrides the
-    Section 5.2 decision order; the heuristic-ordering ablation bench uses
-    it (the paper: "experimentation and tuning are needed").
+    ``priority_fn(ins, useful, priorities) -> tuple[int, ...]`` overrides
+    the Section 5.2 decision order; the heuristic-ordering ablation bench
+    uses it (the paper: "experimentation and tuning are needed").  Its
+    tuples must all have one length and stay fixed for the block pass
+    (:func:`priority_key` is the default).
 
     ``tracer``/``metrics`` observe every decision (see :mod:`repro.obs`);
     the no-op defaults cost one guarded attribute load per site and must
@@ -191,18 +183,7 @@ def schedule_region(
     ddg_blocks = [pdg.block(label) for label in pdg.topo_labels]
     priorities = compute_region_priorities(ddg_blocks, pdg.ddg, pdg.machine)
 
-    if _ENGINE not in ("soa", "event") or (
-            priority_fn is not None
-            and not getattr(priority_fn, "static_block_keys", False)):
-        # custom priority functions with dynamic keys cannot be packed at
-        # collection time; ablation benches (and the forced reference
-        # arm) take the preserved scan-driven pass.  Static all-int
-        # custom orders (StaticBlockPriority) stay on the dense engine.
-        from .reference import schedule_block_scan as block_pass
-        state = DependenceState(pdg.ddg, pdg.machine)
-    else:
-        block_pass = _schedule_block
-        state = DenseDependenceState(pdg.ddg, pdg.machine, metrics)
+    state = DenseDependenceState(pdg.ddg, pdg.machine, metrics)
 
     previous: str | None = None
     for node in pdg.topo_labels:
@@ -218,10 +199,10 @@ def schedule_region(
         carry = None
         if previous is not None and previous in pdg.forward.preds(node):
             carry = report.block_cycles.get(previous)
-        block_pass(pdg, node, level, live_tracker, state, priorities,
-                   max_speculation, rename_on_demand, carry, report,
-                   priority_fn or priority_key, allow_duplication,
-                   block_filter, tracer, metrics)
+        _schedule_block(pdg, node, level, live_tracker, state, priorities,
+                        max_speculation, rename_on_demand, carry, report,
+                        priority_fn or priority_key, allow_duplication,
+                        block_filter, tracer, metrics)
         previous = node
     if metrics.enabled and state.invalidations:
         metrics.inc("sched.ddg_invalidations", state.invalidations)
@@ -291,10 +272,11 @@ def _schedule_block(
             rows.append((1 if c.duplicate_into else 0,
                          0 if c.useful else 1, -d, -cp, ins.uid))
     else:
-        # a StaticBlockPriority custom order: all-int rows, packable
-        rows = [(1 if c.duplicate_into else 0,
-                 *priority_fn(c.ins, useful=c.useful, priorities=priorities))
+        keys = [priority_fn(c.ins, useful=c.useful, priorities=priorities)
                 for c in cands]
+        _check_priority_keys(keys)
+        rows = [(1 if c.duplicate_into else 0, *key)
+                for c, key in zip(cands, keys)]
     pkeys = pack_rows(rows)
     if metrics.enabled:
         metrics.inc("sched.soa.packed_keys", len(rows))
@@ -486,6 +468,20 @@ def _schedule_block(
         metrics.inc("sched.blocks")
 
 
+def _check_priority_keys(keys: list) -> None:
+    """Hold a custom ``priority_fn`` to the contract :func:`pack_rows`
+    relies on: tuples of ints, one length for every instruction (a
+    shorter row would be truncated, a float would not pack)."""
+    width = len(keys[0]) if keys else 0
+    for key in keys:
+        if not (isinstance(key, tuple) and len(key) == width
+                and all(isinstance(v, int) for v in key)):
+            raise TypeError(
+                "priority_fn must return a tuple of ints of one length "
+                "for every instruction, fixed for the block pass; got "
+                f"{key!r} beside {keys[0]!r}")
+
+
 def _judge_speculative(seq, queue, live_tracker, label, pdg,
                        rename_on_demand, vetoes_logged, tracer, metrics):
     """Judge one speculative candidate's Section 5.3 veto, exactly as the
@@ -568,14 +564,9 @@ def _trace_issue(tracer, label: str, cycle: int, cand: Candidate, machine,
         runner_up = ready[pos + 1]
         winner_key, runner_key = sort_key(cand), sort_key(runner_up)
         # flatten (dup-class, priority-tuple) so the step names line up
-        if isinstance(winner_key[1], tuple):
-            step = deciding_step((winner_key[0], *winner_key[1]),
-                                 (runner_key[0], *runner_key[1]),
-                                 _FULL_PRIORITY_STEPS)
-        elif winner_key[0] != runner_key[0]:
-            step = "duplication-class"
-        else:
-            step = "custom-priority"
+        step = deciding_step((winner_key[0], *winner_key[1]),
+                             (runner_key[0], *runner_key[1]),
+                             _FULL_PRIORITY_STEPS)
         tracer.emit(PriorityDecision(
             label=label, cycle=cycle, winner_uid=cand.ins.uid,
             runner_up_uid=runner_up.ins.uid, step=step))

@@ -110,31 +110,6 @@ def full_priority_key(cand, priorities: dict[int, tuple[int, int]]):
                          priorities=priorities))
 
 
-class StaticBlockPriority:
-    """Marks a custom ``priority_fn`` whose keys are static per block pass
-    and all-int, so the struct-of-arrays engine may pack them.
-
-    ``schedule_region`` forces the preserved scan engine for plain
-    callables (their keys could depend on mutable scheduling state); a
-    function wrapped in this class promises that, like
-    :func:`priority_key`, its tuple for a given instruction never changes
-    within one block pass and contains only ints -- exactly what
-    :func:`repro.sched.soa.pack_rows` needs to intern the keys at
-    collection time.  The branch-profile order of
-    :mod:`repro.sched.profiling` is the canonical example.
-    """
-
-    #: the engine-dispatch marker ``schedule_region`` checks
-    static_block_keys = True
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def __call__(self, ins: Instruction, *, useful: bool,
-                 priorities: dict[int, tuple[int, int]]):
-        return self._fn(ins, useful=useful, priorities=priorities)
-
-
 def machine_free_exec(ins: Instruction) -> int:
     """Fallback CP seed when an instruction has no recorded priorities
     (e.g. freshly created by a transformation after priority computation)."""
@@ -156,13 +131,10 @@ def deciding_step(winner_key, runner_up_key,
 
     Keys are the tuples :func:`priority_key` (or a caller-extended form)
     produced for two competing ready instructions; the first position
-    where they differ names the step that decided.  Non-tuple keys (a
-    custom ``priority_fn``) report ``"custom-priority"``; equal keys are a
+    where they differ names the step that decided.  Equal keys are a
     ``"tie"`` (the sort was stable, so source order of the ready list
     prevailed).
     """
-    if not (isinstance(winner_key, tuple) and isinstance(runner_up_key, tuple)):
-        return "custom-priority"
     for name, a, b in zip(steps, winner_key, runner_up_key):
         if a != b:
             return name

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 from ..ir.function import Function
 from ..sim.executor import ExecutionResult
-from .heuristics import StaticBlockPriority
 
 #: number of probability buckets; coarse so D/CP still break near-ties
 _BUCKETS = 8
@@ -106,11 +105,9 @@ def make_profile_priority_fn(profile: BranchProfile, func: Function):
     normalised against the hottest block so loop nests keep sensible
     relative weights.
 
-    The returned function is a
-    :class:`~repro.sched.heuristics.StaticBlockPriority`: every component
-    (bucket included -- homes and counts are snapshotted here) is an int
-    fixed for the duration of a block pass, so the struct-of-arrays
-    engine packs these keys instead of falling back to the scan loop.
+    Like every ``priority_fn`` it is static: each component (bucket
+    included -- homes and counts are snapshotted here) is an int fixed for
+    the duration of a block pass, so the scheduler packs the keys.
     """
     home_of = {id(ins): block.label
                for block in func.blocks for ins in block.instrs}
@@ -130,4 +127,4 @@ def make_profile_priority_fn(profile: BranchProfile, func: Function):
         bucket = _BUCKETS if useful else bucket_of(ins)
         return (0 if useful else 1, -bucket, -d, -cp, ins.uid)
 
-    return StaticBlockPriority(priority_fn)
+    return priority_fn

@@ -22,14 +22,13 @@ keyed to :attr:`DataDependenceGraph.version`, so graph mutation mid-region
 (speculative renaming rewrites edges, Definition-6 duplication adds them)
 transparently drops and lazily rebuilds them.
 
-This dict-based state serves the scan-driven oracle
-(:mod:`repro.sched.reference`) and the basic-block scheduler; the global
-scheduler's hot path runs on its struct-of-arrays twin,
-:class:`repro.sched.soa.DenseDependenceState`, and the event-driven ready
-structure lives in :class:`repro.sched.soa.DenseReadyQueue` (per-unit
-heaps of packed int keys, a time-indexed wheel, targeted liveness
-re-flags).  The two states are behaviourally identical; only the storage
-differs.
+This dict-based state serves only the scan-driven test oracles
+(:mod:`repro.sched.reference`); every compile runs on its
+struct-of-arrays twin, :class:`repro.sched.soa.DenseDependenceState`,
+with the event-driven ready structure in
+:class:`repro.sched.soa.DenseReadyQueue` (per-unit heaps of packed int
+keys, a time-indexed wheel, targeted liveness re-flags).  The two states
+are behaviourally identical; only the storage differs.
 """
 
 from __future__ import annotations

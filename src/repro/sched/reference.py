@@ -1,26 +1,28 @@
-"""Reference (seed) implementations for the scheduling layer.
+"""Test oracles for the scheduling layer.
 
-Companion to :mod:`repro.pdg.reference`, same contract: the code here is
-the *behavioural baseline* for the event-driven scheduler inner loop, kept
-byte-for-byte equivalent in observable output (schedules, motions, traces)
-and deliberately scan-driven in cost.
+The shipped scheduler runs one engine (:mod:`repro.sched.global_sched`
+over :mod:`repro.sched.soa`).  This module keeps the seed's scan-driven
+implementations as oracles that reach the same schedules by a different
+algorithm:
 
-* :func:`schedule_block_scan` -- the original Section 5.1 block pass: every
-  inner iteration of every cycle rescans **all** pending candidates
+* :func:`schedule_block_scan` -- the original Section 5.1 block pass over
+  the dict :class:`~repro.sched.ready.DependenceState`: every inner
+  iteration of every cycle rescans **all** pending candidates
   (readiness, earliest start, live-on-exit veto) and re-sorts the ready
-  list.  ``schedule_region`` dispatches here when a custom ``priority_fn``
-  is in play (ablation benches produce dynamic keys the event queue cannot
-  precompute) or when the scan engine is forced via
-  ``REPRO_SCHED_ENGINE=scan`` / :func:`scan_scheduler`.
-
+  list by calling ``priority_fn`` afresh;
 * :class:`LiveOnExitTrackerReference` -- the seed liveness tracker whose
   ``record_motion`` runs two full ``reachable_from`` traversals per motion
-  (the optimized tracker intersects precomputed reachability bitsets).
+  (the shipped tracker intersects precomputed reachability bitsets);
+* :func:`schedule_block_reference` -- the seed basic-block list scheduler.
 
-``pdg.reference.seed_pipeline()`` patches both in (plus
-``DependenceStateReference``) so the perf suite measures the full seed
-inner loop; ``tests/sched/test_event_scan_equivalence.py`` proves the two
-engines produce identical assembly, motions and decision traces.
+The class of bug they exist to catch is the one the schedule verifier
+cannot see: a schedule that is *legal* -- every dependence, resource and
+live-on-exit rule holds -- but breaks the Section 5.2 decision order or
+the decision trace (a candidate judged, vetoed, renamed or issued at a
+different scan point than the paper's loop would have).  The verifier
+accepts such a schedule; byte-identity of assembly and traces against
+this oracle does not (``tests/sched/test_event_scan_equivalence.py``,
+the scorecard's ``engines_agree`` cell).
 """
 
 from __future__ import annotations
@@ -43,31 +45,32 @@ from .ready import DependenceState
 from .speculation import LiveOnExitTracker, try_rename_for_motion
 
 
+def _dict_state(ddg, machine, metrics) -> DependenceState:
+    """The dict state, built with the dense state's signature."""
+    return DependenceState(ddg, machine)
+
+
 @contextmanager
 def scan_scheduler():
-    """Force the preserved scan-driven block pass for the dynamic extent.
-
-    The equivalence suite and the CI fuzz-smoke reference arm use this to
-    run the whole pipeline on the seed inner loop without touching the
-    environment.
-    """
+    """Schedule with the scan block pass and the dict dependence state
+    for the dynamic extent, by swapping them in for the names
+    :func:`repro.sched.global_sched.schedule_region` calls."""
     from . import global_sched
 
-    saved = global_sched._ENGINE
-    global_sched._ENGINE = "scan"
+    saved = (global_sched._schedule_block, global_sched.DenseDependenceState)
+    global_sched._schedule_block = schedule_block_scan
+    global_sched.DenseDependenceState = _dict_state
     try:
         yield
     finally:
-        global_sched._ENGINE = saved
+        (global_sched._schedule_block,
+         global_sched.DenseDependenceState) = saved
 
 
 @contextmanager
 def reference_scheduler():
-    """The full seed scheduler arm: scan-driven block pass *and* the
-    traversal-based liveness tracker, for the dynamic extent.  This is
-    the scheduler slice of ``pdg.reference.seed_pipeline()`` -- the
-    microbench and equivalence tests use it when they want the seed
-    inner loop without the reference DDG / uncached-analyses patches."""
+    """The full seed scheduler arm: :func:`scan_scheduler` *and* the
+    traversal-based liveness tracker, for the dynamic extent."""
     from . import driver
 
     with scan_scheduler():
@@ -376,11 +379,7 @@ def schedule_block_reference(block, machine) -> int:
     iteration of every cycle rescans all pending instructions and re-sorts
     the ready list.  ``repro.sched.bb_sched.schedule_block`` re-hosted the
     pass on the dense substrate (CSR DDG, packed int keys, incremental
-    readiness); this copy is the equivalence oracle and the measured
-    baseline of the ``analysis``/``compile`` perf sections.
-
-    ``DependenceState`` is resolved through the :mod:`~repro.sched.bb_sched`
-    module at call time, so ``seed_pipeline()``'s state patch composes.
+    readiness); this copy is its equivalence oracle.
     """
     from ..pdg.data_deps import build_block_ddg
     from . import bb_sched
@@ -393,7 +392,7 @@ def schedule_block_reference(block, machine) -> int:
 
     ddg = build_block_ddg(block, machine)
     priorities = local_priorities(block, ddg, machine)
-    state = bb_sched.DependenceState(ddg, machine)
+    state = DependenceState(ddg, machine)
     state.begin_block()
     position = {id(ins): i for i, ins in enumerate(block.instrs)}
 

@@ -28,9 +28,9 @@ list, selection order equals its sorted order (packing is strictly
 monotone, and ``seq`` reproduces the seed's stable-sort tie-break), and
 veto/rename judgments happen for exactly the candidates the seed scan
 would have re-judged to a different answer, in the seed's iteration
-order.  ``tests/sched/test_event_scan_equivalence.py`` and the fuzz
-``seed_pipeline()`` arm hold assembly, motions and decision traces
-byte-identical across machines x levels.
+order.  ``tests/sched/test_event_scan_equivalence.py`` and the
+scorecard's ``engines_agree`` cells hold assembly, motions and decision
+traces byte-identical across machines x levels.
 
 Graph mutations (Section 4.2 renames, Definition 6 duplication) bump
 ``DataDependenceGraph.version``; the dense snapshot is rebuilt lazily and
@@ -69,6 +69,9 @@ _UNIT_INDEX = {unit: idx for idx, unit in enumerate(UnitType)}
 
 def pack_rows(rows: list[tuple]) -> list[int]:
     """Pack equal-length all-int tuples into ints, preserving order.
+
+    Unchecked: callers guarantee the shape (``global_sched`` checks a
+    custom ``priority_fn``'s keys before packing them).
 
     Classic mixed-radix packing: each field is offset by its column
     minimum and given exactly the bits its column range needs, so for any

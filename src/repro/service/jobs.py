@@ -323,7 +323,10 @@ class JobPool:
         blocks acquiring that lock to flush the queue) -- so the kill
         path never calls terminate: it disarms the pool's exit
         finalizer, stops the worker-respawn thread, kills and reaps the
-        processes, and abandons the daemonic handler threads."""
+        processes, and abandons the daemonic handler threads.  The
+        respawn thread is woken and joined *before* the kill: it replaces
+        dead workers, so one it forked after the kill loop would never be
+        killed and the reap would wait on it forever."""
         if self._closed:
             return
         self._closed = True
@@ -334,6 +337,8 @@ class JobPool:
 
             self._pool._terminate.cancel()
             self._pool._worker_handler._state = TERMINATE
+            self._pool._change_notifier.put(None)
+            self._pool._worker_handler.join()
             for proc in self._pool._pool:
                 if proc.exitcode is None:
                     try:

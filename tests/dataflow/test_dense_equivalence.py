@@ -1,12 +1,11 @@
 """The dense analysis core must be indistinguishable from the seed.
 
-PR contract for the bitset/CSR rewrite: dominators, reducibility, the
-loop nest, liveness, reaching definitions and interference re-hosted on
-int indices and bitmasks (:mod:`repro.cfg.dominators`,
-:mod:`repro.cfg.loops`, :mod:`repro.dataflow`, :mod:`repro.regalloc`)
-agree *exactly* with the preserved seed implementations
-(:mod:`repro.cfg.reference`, :mod:`repro.dataflow.reference`,
-:mod:`repro.regalloc.reference`) -- on random digraphs (irreducible
+Contract for the bitset/CSR rewrite: dominators, reducibility, the loop
+nest and liveness re-hosted on int indices and bitmasks
+(:mod:`repro.cfg.dominators`, :mod:`repro.cfg.loops`,
+:mod:`repro.dataflow`) agree *exactly* with the preserved seed
+implementations (:mod:`repro.cfg.reference`,
+:mod:`repro.dataflow.reference`) -- on random digraphs (irreducible
 graphs and unreachable nodes included), on lowered mini-C functions, on
 hand-written irreducible/unreachable IR, and byte-for-byte on emitted
 assembly across machines x scheduling levels with the whole core
@@ -30,9 +29,7 @@ from repro.cfg.reference import (
 )
 from repro.compiler import compile_c
 from repro.dataflow.liveness import compute_liveness
-from repro.dataflow.reaching import ReachingDefinitions
 from repro.dataflow.reference import (
-    ReachingDefinitionsReference,
     compute_liveness_reference,
     reference_analyses,
 )
@@ -40,7 +37,6 @@ from repro.ir.parser import parse_function
 from repro.lang.lower import compile_c_functions
 from repro.machine.configs import CONFIGS
 from repro.regalloc.interference import build_interference
-from repro.regalloc.reference import build_interference_reference
 from repro.sched.candidates import ScheduleLevel
 from repro.verify.fuzz import derive_seed
 from repro.verify.generator import generate_program
@@ -137,7 +133,7 @@ def test_self_loop_agrees():
     assert_cfg_analyses_agree(graph, 0)
 
 
-# -- lowered functions: liveness / reaching / interference ----------------
+# -- lowered functions: liveness / interference ----------------------------
 
 MINMAX = (
     "int minmax(int a[], int n, int out[]) {\n"
@@ -211,7 +207,7 @@ def _analysis_functions():
 
 @pytest.mark.parametrize("func,live_at_exit", _analysis_functions(),
                          ids=lambda v: getattr(v, "name", None) or "exit")
-def test_liveness_and_reaching_agree(func, live_at_exit):
+def test_liveness_agrees(func, live_at_exit):
     cfg = ControlFlowGraph(func)
     dense = compute_liveness(func, live_at_exit, cfg)
     ref = compute_liveness_reference(func, live_at_exit, cfg)
@@ -220,24 +216,17 @@ def test_liveness_and_reaching_agree(func, live_at_exit):
         assert dense.live_in(block) == ref.live_in(block), block.label
     assert dense.live_out_map() == ref.live_out_map()
 
-    rd = ReachingDefinitions(func, cfg)
-    rd_ref = ReachingDefinitionsReference(func, cfg)
-    regs = {r for b in func.blocks for i in b.instrs for r in i.reg_defs()}
-    for reg in regs:
-        assert rd.defs_of(reg) == rd_ref.defs_of(reg), reg
-    for block in func.blocks:
-        assert (rd.reaching_in(block.label)
-                == rd_ref.reaching_in(block.label)), block.label
-        for ins in block.instrs:
-            assert (rd.reaching_before(block.label, ins)
-                    == rd_ref.reaching_before(block.label, ins)), ins
-
 
 @pytest.mark.parametrize("func,live_at_exit", _analysis_functions(),
                          ids=lambda v: getattr(v, "name", None) or "exit")
 def test_interference_agrees(func, live_at_exit):
-    dense = build_interference(func, live_at_exit=live_at_exit)
-    ref = build_interference_reference(func, live_at_exit=live_at_exit)
+    """The allocator's builder gives one graph over either liveness solve
+    (``reference_analyses()`` hands it the seed's)."""
+    cfg = ControlFlowGraph(func)
+    dense = build_interference(
+        func, liveness=compute_liveness(func, live_at_exit, cfg))
+    ref = build_interference(
+        func, liveness=compute_liveness_reference(func, live_at_exit, cfg))
     assert dense.adjacency == ref.adjacency
     assert dense.moves == ref.moves
 

@@ -10,6 +10,9 @@ Three properties over a fixed-seed generated corpus:
 * reduction never changes schedules (removed edges are implied by
   longer paths), and the whole optimized pipeline emits byte-identical
   assembly to the reference pipeline at every level.
+
+It also holds the pipeline's analysis caching to the same standard:
+recomputing every analysis at each use must not change a schedule.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.compiler import compile_c
+from repro.dataflow.cache import AnalysisCache
 from repro.machine.configs import CONFIGS
 from repro.pdg import data_deps
 from repro.pdg import pdg as region_pdg_module
@@ -24,7 +28,6 @@ from repro.pdg.data_deps import build_region_ddg, transitive_reduce
 from repro.pdg.reference import (
     build_region_ddg_reference,
     reference_pipeline,
-    seed_pipeline,
     transitive_reduce_reference,
 )
 from repro.sched.candidates import ScheduleLevel
@@ -126,17 +129,32 @@ def test_optimized_pipeline_matches_reference_assembly(corpus):
                 f"seed {program.seed} diverged at level {level.value}")
 
 
-def test_optimized_pipeline_matches_seed_pipeline(corpus):
-    """The full seed baseline (reference DDG + per-query readiness +
-    uncached analyses + eager verifier) also schedules identically."""
+#: every memoised accessor of AnalysisCache (``reg_table`` is no tier:
+#: bit assignments never go stale)
+_CACHED_ACCESSORS = ("cfg", "dominators", "loop_nest", "liveness",
+                     "dense_cfg", "block_use_def_masks")
+
+
+def test_pipeline_matches_with_analyses_recomputed_at_every_use(
+        corpus, monkeypatch):
+    """An ``AnalysisCache`` that drops its tiers before every accessor
+    recomputes each analysis at each use; byte-identical assembly means
+    the pipeline invalidates the cache wherever a stage mutates."""
     for program in corpus[:3]:
         for machine_name in ("rs6k", "scalar"):
-            new = _compile_all(program.source, machine_name,
-                               ScheduleLevel.SPECULATIVE)
-            with seed_pipeline():
-                ref = _compile_all(program.source, machine_name,
-                                   ScheduleLevel.SPECULATIVE)
-            assert new == ref
+            cached = _compile_all(program.source, machine_name,
+                                  ScheduleLevel.SPECULATIVE)
+            with monkeypatch.context() as m:
+                for name in _CACHED_ACCESSORS:
+                    def uncached(self, *args, _accessor=getattr(
+                            AnalysisCache, name)):
+                        self.invalidate()
+                        return _accessor(self, *args)
+
+                    m.setattr(AnalysisCache, name, uncached)
+                recomputed = _compile_all(program.source, machine_name,
+                                          ScheduleLevel.SPECULATIVE)
+            assert cached == recomputed
 
 
 def test_patching_restores_cleanly():

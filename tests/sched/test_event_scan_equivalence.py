@@ -1,23 +1,33 @@
 """The event-driven scheduler must be indistinguishable from the seed scan.
 
-PR contract for the ready-queue rewrite: the event-driven inner loop
+Contract for the one scheduler engine: the event-driven inner loop
 (:mod:`repro.sched.soa`'s ``DenseReadyQueue`` over interned int state +
-the bitset/bitmask liveness tracker) and the preserved scan-driven baseline
+the bitset/bitmask liveness tracker) and the scan-driven oracle
 (:mod:`repro.sched.reference`) produce **byte-identical** output at every
 observable level -- assembly, recorded motions, and the full decision
 trace (PriorityDecision runner-ups, SpeculationRejected, CycleAdvance
-ready counts, UnitOccupancy) -- across machines, scheduling levels, and
-the optional duplication / rename-on-demand paths.  Anything else means
-the queue evaluated a candidate the scan would not have (or vice versa).
+ready counts, UnitOccupancy) -- across machines, scheduling levels,
+custom priority orders, and the optional duplication / rename-on-demand
+paths.  Anything else means the queue evaluated a candidate the scan
+would not have (or vice versa).
 """
 
 import pytest
 
 from repro.compiler import compile_c
+from repro.ir.parser import parse_function
+from repro.ir.printer import format_function
 from repro.machine.configs import CONFIGS
 from repro.obs import CollectingTracer, MetricsCollector
+from repro.sched import global_sched
 from repro.sched.candidates import ScheduleLevel
-from repro.sched.reference import reference_scheduler, scan_scheduler
+from repro.sched.driver import global_schedule
+from repro.sched.profiling import BranchProfile, make_profile_priority_fn
+from repro.sched.reference import (
+    reference_scheduler,
+    scan_scheduler,
+    schedule_block_scan,
+)
 from repro.verify.fuzz import derive_seed
 from repro.verify.generator import generate_program
 from repro.xform.pipeline import PipelineConfig
@@ -111,71 +121,97 @@ def test_fuzz_corpus_identical_wide_sweep(index):
 
 
 def test_scan_scheduler_restores_engine():
-    from repro.sched import global_sched
-
-    before = global_sched._ENGINE
+    before = (global_sched._schedule_block,
+              global_sched.DenseDependenceState)
     with scan_scheduler():
-        assert global_sched._ENGINE == "scan"
-    assert global_sched._ENGINE == before
+        assert global_sched._schedule_block is schedule_block_scan
+        assert global_sched.DenseDependenceState is not before[1]
+    assert (global_sched._schedule_block,
+            global_sched.DenseDependenceState) == before
 
 
-def test_profile_priority_fn_runs_on_soa_engine():
-    """The branch-profile priority function advertises static all-int
-    per-block-pass keys (:class:`repro.sched.heuristics.StaticBlockPriority`),
-    so the SoA engine packs them and keeps the dense path -- byte-identical
-    to the forced scan engine, traces included."""
-    from repro.sched.profiling import BranchProfile
-
-    profile = BranchProfile({"LH.1": 10, "L.4": 9, "L.6": 1}, runs=1)
-
-    def build():
-        trace = CollectingTracer()
-        metrics = MetricsCollector()
-        config = PipelineConfig(level=ScheduleLevel.SPECULATIVE,
-                                profile=profile, trace=trace,
-                                metrics=metrics)
-        result = compile_c(MINMAX, machine=CONFIGS["rs6k"](),
-                           level=ScheduleLevel.SPECULATIVE, config=config)
-        assembly = "\n\n".join(unit.assembly() for unit in result)
-        events = [{**e.to_dict(), "elapsed_ms": None}
-                  for e in trace.events]
-        return assembly, events, metrics
-
-    default_asm, default_trace, metrics = build()
-    # the profile fn really ran on the dense engine, not a silent fallback
-    assert metrics.counters.get("sched.soa.packed_keys", 0) > 0
-    with scan_scheduler():
-        scan_asm, scan_trace, scan_metrics = build()
-    assert scan_metrics.counters.get("sched.soa.packed_keys", 0) == 0
-    assert default_asm == scan_asm
-    assert default_trace == scan_trace
+# -- custom priority orders ------------------------------------------------
+# the four decision orders of benchmarks/bench_ablation_heuristics.py
 
 
-def test_dynamic_priority_fn_falls_back_to_scan():
-    """A plain callable cannot promise static per-block keys, so
-    ``schedule_region`` must take the scan pass -- and still produce the
-    schedule the forced scan engine does."""
-    from repro.ir.parser import parse_function
-    from repro.ir.printer import format_function
-    from repro.sched.driver import global_schedule
+def paper_key(ins, *, useful, priorities):
+    d, cp = priorities.get(id(ins), (0, 1))
+    return (0 if useful else 1, -d, -cp, ins.uid)
 
-    def dynamic_fn(ins, *, useful, priorities):
-        d, cp = priorities.get(id(ins), (0, 0))
-        return (0 if useful else 1, -d, -cp, ins.uid)
 
-    source = compile_c(MINMAX, machine=CONFIGS["rs6k"](),
-                       level=ScheduleLevel.NONE)["minmax"]
-    text = format_function(source.func)
+def no_class_key(ins, *, useful, priorities):
+    d, cp = priorities.get(id(ins), (0, 1))
+    return (-d, -cp, ins.uid)
 
-    def build():
-        func = parse_function(text)
-        metrics = MetricsCollector()
-        global_schedule(func, CONFIGS["rs6k"](), ScheduleLevel.SPECULATIVE,
-                        priority_fn=dynamic_fn, metrics=metrics)
-        return format_function(func), metrics
 
-    default_out, metrics = build()
-    assert metrics.counters.get("sched.soa.packed_keys", 0) == 0
-    with scan_scheduler():
-        forced_out, _ = build()
-    assert default_out == forced_out
+def cp_first_key(ins, *, useful, priorities):
+    d, cp = priorities.get(id(ins), (0, 1))
+    return (0 if useful else 1, -cp, -d, ins.uid)
+
+
+def order_only_key(ins, *, useful, priorities):
+    return (ins.uid,)
+
+
+def profile_key(func):
+    hot = {block.label: 10 - i for i, block in enumerate(func.blocks)}
+    return make_profile_priority_fn(BranchProfile(hot, runs=1), func)
+
+
+ORDERS = {
+    "paper": lambda func: paper_key,
+    "no-class": lambda func: no_class_key,
+    "cp-first": lambda func: cp_first_key,
+    "order-only": lambda func: order_only_key,
+    "profile": profile_key,
+}
+
+
+def _schedule_with_order(text, make_order):
+    """(assembly, scrubbed trace, metrics) of one global sweep."""
+    func = parse_function(text)
+    trace = CollectingTracer()
+    metrics = MetricsCollector()
+    global_schedule(func, CONFIGS["rs6k"](), ScheduleLevel.SPECULATIVE,
+                    priority_fn=make_order(func), tracer=trace,
+                    metrics=metrics)
+    events = [{**e.to_dict(), "elapsed_ms": None} for e in trace.events]
+    return format_function(func), events, metrics
+
+
+def _unscheduled_functions(source):
+    result = compile_c(source, machine=CONFIGS["rs6k"](),
+                       level=ScheduleLevel.NONE)
+    return [format_function(unit.func) for unit in result]
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+@pytest.mark.parametrize("program", ["minmax", 0, 3, 7])
+def test_custom_order_matches_reference(order, program):
+    """Every custom order runs on the packed-key engine and schedules
+    exactly as the reference scheduler does, trace included."""
+    source = (MINMAX if program == "minmax" else
+              generate_program(derive_seed(1991, program)).source)
+    packed = 0
+    for text in _unscheduled_functions(source):
+        asm, trace, metrics = _schedule_with_order(text, ORDERS[order])
+        packed += metrics.counters.get("sched.soa.packed_keys", 0)
+        with reference_scheduler():
+            ref_asm, ref_trace, _ = _schedule_with_order(text,
+                                                         ORDERS[order])
+        assert asm == ref_asm, "assembly diverged"
+        assert trace == ref_trace, "decision traces diverged"
+    assert packed > 0
+
+
+@pytest.mark.parametrize("bad_key", [
+    # rows of unequal length: packing would truncate them to the shortest
+    lambda ins, *, useful, priorities: (0, 1, -3, 7)[:2 + ins.uid % 3],
+    # a float field has no bit_length
+    lambda ins, *, useful, priorities: (0, ins.uid / 2),
+], ids=["variable-length", "float"])
+def test_priority_fn_contract_is_enforced(bad_key):
+    text = _unscheduled_functions(MINMAX)[0]
+    with pytest.raises(TypeError, match="tuple of ints of one length"):
+        global_schedule(parse_function(text), CONFIGS["rs6k"](),
+                        ScheduleLevel.SPECULATIVE, priority_fn=bad_key)

@@ -9,6 +9,8 @@ The three service-grade guarantees, each exercised on its own:
 Handlers are module-level so the pool can pickle them by reference.
 """
 
+import os
+import signal
 import threading
 import time
 
@@ -199,3 +201,21 @@ def test_submit_after_close_is_refused():
     pool.close()
     with pytest.raises(RuntimeError, match="closed"):
         pool.submit(JobSpec(id=0, payload=0))
+
+
+def test_kill_close_reaps_workers_respawned_during_the_close():
+    """``close(kill=True)`` stops the pool's respawn thread before the
+    kill: a replacement worker forked after the kill loop would outlive
+    the close, and reaping it would wait forever."""
+    for _ in range(20):
+        pool = JobPool(_double, jobs=2)
+        inner = pool._pool
+        # a dead worker makes the respawn thread fork a replacement
+        os.kill(pool.worker_pids()[0], signal.SIGKILL)
+        closer = threading.Thread(target=pool.close, kwargs={"kill": True},
+                                  daemon=True)
+        closer.start()
+        closer.join(timeout=30.0)
+        assert not closer.is_alive(), "close(kill=True) hung reaping"
+        assert not inner._worker_handler.is_alive()
+        assert all(proc.exitcode is not None for proc in inner._pool)

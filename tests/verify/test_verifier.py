@@ -8,7 +8,6 @@ from repro.bench.programs import MINMAX_C
 from repro.compiler import compile_c
 from repro.machine.rs6k import rs6k
 from repro.sched.candidates import ScheduleLevel
-from repro.sched.ready import DependenceState
 from repro.sched.speculation import LiveOnExitTracker
 from repro.verify import ScheduleVerificationError, verify_schedule
 from repro.xform.pipeline import PipelineConfig
@@ -165,13 +164,11 @@ def test_mutated_liveness_rule_is_caught(monkeypatch):
 
 def test_mutated_dependence_rule_is_caught(monkeypatch):
     """A scheduler that believes every instruction is always ready emits
-    dependence-inverted code; the verifier must reject it.  Both readiness
-    authorities are broken: the dict state (scan/reference engines) and
-    the dense block pass's predecessor counters."""
+    dependence-inverted code; the verifier must reject it.  The broken
+    readiness authority is the basic-block pass's predecessor counters
+    (the post-pass reorders every block after global scheduling)."""
     from repro.sched import bb_sched
 
-    monkeypatch.setattr(DependenceState, "deps_satisfied",
-                        lambda self, ins: True)
     monkeypatch.setattr(bb_sched, "_initial_blocked",
                         lambda dense: [0] * dense.n)
     with pytest.raises(ScheduleVerificationError) as exc:
