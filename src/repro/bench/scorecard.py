@@ -21,7 +21,7 @@ whole scorecard reports ``ok = False`` (the CLI exits 1, CI goes red).
 Everything recorded is deterministic -- instruction counts, simulated
 cycles, BSP bounds -- never wall-clock time, so the JSON emitted by
 :meth:`Scorecard.to_json` is byte-stable across runs and machines and can
-be kept as a golden file (``tests/golden/scorecard_rs6k.json``).
+be kept as a golden file (``tests/golden/scorecard.json``).
 """
 
 from __future__ import annotations

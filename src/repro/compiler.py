@@ -24,12 +24,7 @@ from .machine.model import MachineModel
 from .machine.rs6k import rs6k
 from .sched.candidates import ScheduleLevel
 from .sim.executor import CallHandler, ExecutionResult, Executor
-from .sim.machine_sim import (
-    SimConfig,
-    SimulationResult,
-    TraceSimulator,
-    layout_addresses,
-)
+from .sim.machine_sim import SimConfig, SimulationResult, simulate_execution
 from .xform.pipeline import PipelineConfig, PipelineReport, optimize
 
 #: where successive array arguments are placed in simulated memory
@@ -130,19 +125,10 @@ class CompiledUnit:
                     )
                 regs[reg] = value
 
-        execution = Executor(
-            self.func, regs=regs, memory=memory,
+        execution, timing = simulate_execution(
+            self.func, self.machine, regs=regs, memory=memory,
             call_handlers=call_handlers, max_steps=max_steps,
-        ).run()
-        sim = TraceSimulator(self.machine, sim_config,
-                             addresses=layout_addresses(self.func))
-        issue_cycles = [sim.issue(ins) for ins in execution.instr_trace]
-        timing = SimulationResult(
-            cycles=(max(issue_cycles) + 1) if issue_cycles else 0,
-            instructions=len(issue_cycles),
-            issue_cycles=issue_cycles,
-            icache_misses=sim.icache_misses,
-            buffer_drains=sim.buffer_drains,
+            config=sim_config,
         )
         arrays = [
             [execution.memory.get(base + 4 * i, 0) for i in range(length)]

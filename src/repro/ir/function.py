@@ -69,10 +69,13 @@ class Function:
         return label in self._labels
 
     def layout_index(self, block: BasicBlock) -> int:
-        for i, b in enumerate(self.blocks):
-            if b is block:
-                return i
-        raise ValueError(f"block {block.label} is not in {self.name}")
+        # ``BasicBlock`` defines no ``__eq__``, so ``list.index`` is the
+        # identity search, done in C
+        try:
+            return self.blocks.index(block)
+        except ValueError:
+            raise ValueError(
+                f"block {block.label} is not in {self.name}") from None
 
     def remove_block(self, block: BasicBlock) -> None:
         """Remove ``block`` from the function (caller guarantees nothing

@@ -29,8 +29,18 @@ class UnitType(Enum):
     FPU = "float"  # floating point unit
     BRU = "branch"  # branch unit
 
+    #: position in declaration order (0, 1, 2): a list index, so per-unit
+    #: tables of the scheduler and the simulator never hash the member
+    #: (``Enum.__hash__`` is Python code)
+    index: int
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"UnitType.{self.name}"
+
+
+for _index, _unit in enumerate(UnitType):
+    _unit.index = _index
+del _index, _unit
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,6 +180,8 @@ class Opcode(Enum):
     # of the hottest rows in pipeline profiles.  The attributes are
     # declared here so type checkers and readers see the surface:
     info: OpcodeInfo
+    #: position in the table, for dispatch through a tuple indexed by it
+    index: int
     mnemonic: str
     unit: UnitType
     is_load: bool
@@ -186,9 +198,10 @@ class Opcode(Enum):
     is_terminator: bool
 
 
-for _op in Opcode:
+for _index, _op in enumerate(Opcode):
     _info = _op.value
     _op.info = _info
+    _op.index = _index
     _op.mnemonic = _info.mnemonic
     _op.unit = _info.unit
     _op.is_load = _info.is_load
@@ -201,7 +214,7 @@ for _op in Opcode:
     _op.can_move_globally = _info.can_move_globally
     _op.can_speculate = _info.can_speculate
     _op.is_terminator = _info.is_branch
-del _op, _info
+del _index, _op, _info
 
 
 #: mnemonic -> Opcode lookup used by the assembly parser.

@@ -296,6 +296,20 @@ class MachineModel:
         cycle simulator, which models the hardware interlocks."""
         return self.exec_time(ins) + self.flow_delay(ins, ins, reg)
 
+    def issue_facts(self, ins: Instruction
+                    ) -> tuple[int, int, tuple[int, ...]]:
+        """What timing an issue of ``ins`` needs to know of the machine:
+        ``(unit.index, unit_count(unit), latencies)``, where
+        ``latencies[k]`` is the :meth:`result_latency` of ``ins.defs[k]``.
+
+        The cycle simulator and the BSP bound both decode each static
+        instruction through this one helper, once per simulator or bound
+        call, and then work on plain ints per dynamic instruction.
+        """
+        unit = ins.opcode.unit
+        return (unit.index, self.units.get(unit, 0),
+                tuple(self.result_latency(ins, reg) for reg in ins.defs))
+
     def __repr__(self) -> str:
         parts = ", ".join(f"{n}x{u.name}" for u, n in self.units.items() if n)
         return f"<MachineModel {self.name}: {parts}>"

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from ..ir.basic_block import BasicBlock
 from ..ir.function import Function
+from ..ir.opcodes import UnitType
 from ..machine.model import MachineModel
 from ..pdg.data_deps import build_block_ddg
 from .heuristics import local_priorities
-from .soa import _UNIT_INDEX, pack_rows
+from .soa import pack_rows
 
 _MAX_STALL = 10_000
 
@@ -72,8 +73,8 @@ def schedule_block(block: BasicBlock, machine: MachineModel) -> int:
         d, cp = priorities.get(id(ins), (0, 0))
         rows.append((-d, -cp, i))
     pkey = pack_rows(rows)
-    unit_of = [_UNIT_INDEX[ins.unit] for ins in instrs]
-    unit_counts = [machine.unit_count(unit) for unit in _UNIT_INDEX]
+    unit_of = [ins.unit.index for ins in instrs]
+    unit_counts = [machine.unit_count(unit) for unit in UnitType]
 
     term = block.terminator
     term_idx = dense.index[id(term)] if term is not None else -1

@@ -63,9 +63,6 @@ _ISSUED = 5    #: scheduled; terminal
 #: start (local or carried) is far above this
 _NEVER = -(1 << 30)
 
-#: UnitType member -> dense heap index (stable: enum order)
-_UNIT_INDEX = {unit: idx for idx, unit in enumerate(UnitType)}
-
 
 def pack_rows(rows: list[tuple]) -> list[int]:
     """Pack equal-length all-int tuples into ints, preserving order.
@@ -396,7 +393,6 @@ class DenseReadyQueue:
         seed scan."""
         self._state = state
         self._m = metrics if metrics.enabled else None
-        unit_index = _UNIT_INDEX
         self._heaps: list[list] = [[] for _ in UnitType]
         self._wheel: dict[int, list[int]] = {}
         self._current: list[int] = []    # seq heap: judged this scan
@@ -409,7 +405,7 @@ class DenseReadyQueue:
 
         state._sync()
         dense_index = state._dense.index
-        units = [unit_index[c.ins.unit] for c in cands]
+        units = [c.ins.unit.index for c in cands]
         idxs = [dense_index.get(id(c.ins), -1) for c in cands]
         veto = bytearray(
             0 if (c.useful or c.duplicate_into) else 1 for c in cands)

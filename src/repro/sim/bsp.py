@@ -45,6 +45,8 @@ schedule, an under-charging cost model), not to grade schedules.
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from ..ir.instruction import Instruction
@@ -110,13 +112,23 @@ class BSPCheck:
         return "\n".join([head] + [f"  {v}" for v in self.violations])
 
 
-def _superstep_cost(machine: MachineModel, counts: dict[UnitType, int],
-                    slots: int, local_depth: int) -> int:
-    """BSP price of one superstep: max resource pressure vs local depth."""
-    work = max((-(-count // machine.unit_count(unit))
-                for unit, count in counts.items() if count), default=0)
-    width = -(-slots // machine.total_issue_width)
-    return max(work, width, local_depth)
+#: unit types in name order, the order of :attr:`BSPBound.work`
+_UNITS_BY_NAME = sorted(UnitType, key=lambda unit: unit.name)
+_UNITS = len(UnitType)
+
+
+def _superstep_cost(capacities: list[int], width: int, counts: list[int],
+                    local_depth: int) -> int:
+    """BSP price of one superstep: max resource pressure vs local depth
+    (``counts`` per unit index; the extra bucket of folded branches is
+    past the end of ``capacities`` and carries no work)."""
+    cost = local_depth
+    slots = 0
+    for issued, capacity in zip(counts, capacities):
+        if issued:
+            slots += issued
+            cost = max(cost, -(-issued // capacity))
+    return max(cost, -(-slots // width))
 
 
 def bsp_bound(trace: list[Instruction], machine: MachineModel, *,
@@ -127,64 +139,84 @@ def bsp_bound(trace: list[Instruction], machine: MachineModel, *,
     compared against (the default matches :class:`~repro.sim.SimConfig`):
     a folded unconditional branch consumes no issue slot, so it carries
     no work, but it still anchors superstep boundaries.
+
+    Each static instruction is decoded once per call, from
+    :meth:`~repro.machine.MachineModel.issue_facts` alone -- the machine
+    facts the cycle simulator also reads, and nothing of the simulator
+    itself -- into register slots, ``(slot, latency)`` per def and a unit
+    index, so the walk over the trace touches only ints and lists.
     """
-    #: cycle level at which each register becomes consumable
-    reg_ready: dict[Reg, int] = {}
-    counts: dict[UnitType, int] = {}
-    slots = 0
+    width = machine.total_issue_width
+    #: instruction -> (use slots, (def slot, latency) pairs, unit index,
+    #: closes a superstep); a folded branch counts in the extra bucket
+    #: ``counts[_UNITS]``, which holds no work
+    decoded: dict[Instruction, tuple] = {}
+    #: register -> slot in ``reg_ready`` (the next number when missing)
+    slot_of: dict[Reg, int] = defaultdict(itertools.count().__next__)
+    slot = slot_of.__getitem__
+    #: cycle level at which each register slot becomes consumable
+    reg_ready: list[int] = []
+    capacities = [0] * _UNITS
+    counts = [0] * (_UNITS + 1)  # issues per unit index
     depth = 0  # largest start level forced by register chains
 
     # per-superstep (executed basic block) accumulators for the estimate
     estimate = 0
     supersteps = 0
-    step_counts: dict[UnitType, int] = {}
-    step_slots = 0
+    step_counts = [0] * (_UNITS + 1)
     step_depth = 0
     step_base = 0  # chain level at superstep entry
 
     for ins in trace:
+        record = decoded.get(ins)
+        if record is None:
+            unit, capacity, latencies = machine.issue_facts(ins)
+            capacities[unit] = capacity
+            uses = tuple(map(slot, ins.uses))
+            defs = tuple(zip(map(slot, ins.defs), latencies))
+            reg_ready.extend([0] * (len(slot_of) - len(reg_ready)))
+            if branch_folding and ins.opcode is Opcode.B:
+                unit = _UNITS
+            record = decoded[ins] = (uses, defs, unit, ins.opcode.is_branch)
+        uses, defs, unit, barrier = record
+
         start = 0
-        for reg in ins.reg_uses():
-            level = reg_ready.get(reg, 0)
+        for use in uses:
+            level = reg_ready[use]
             if level > start:
                 start = level
         if start > depth:
             depth = start
-        folded = branch_folding and ins.opcode is Opcode.B
-        if not folded:
-            slots += 1
-            step_slots += 1
-            unit = ins.unit
-            counts[unit] = counts.get(unit, 0) + 1
-            step_counts[unit] = step_counts.get(unit, 0) + 1
+        counts[unit] += 1
+        step_counts[unit] += 1
         local = start - step_base
         if local > step_depth:
             step_depth = local
-        for reg in ins.reg_defs():
-            reg_ready[reg] = start + machine.result_latency(ins, reg)
-        if ins.opcode.is_branch:
+        for defined, latency in defs:
+            reg_ready[defined] = start + latency
+        if barrier:
             # the branch is the superstep barrier: close this block
             supersteps += 1
-            estimate += (_superstep_cost(machine, step_counts, step_slots,
-                                         step_depth) + sync_latency)
-            step_counts = {}
-            step_slots = 0
+            estimate += (_superstep_cost(capacities, width, step_counts,
+                                         step_depth)
+                         + sync_latency)
+            step_counts = [0] * (_UNITS + 1)
             step_depth = 0
             step_base = depth
-    if step_slots or step_depth:
+    if sum(step_counts[:_UNITS]) or step_depth:
         supersteps += 1
-        estimate += _superstep_cost(machine, step_counts, step_slots,
+        estimate += _superstep_cost(capacities, width, step_counts,
                                     step_depth)
 
+    slots = sum(counts[:_UNITS])
     work = tuple(
-        (unit.name, -(-count // machine.unit_count(unit)))
-        for unit, count in sorted(counts.items(), key=lambda kv: kv[0].name)
+        (unit.name, -(-counts[unit.index] // capacities[unit.index]))
+        for unit in _UNITS_BY_NAME if counts[unit.index]
     )
-    width = -(-slots // machine.total_issue_width)
     return BSPBound(
         slots=slots,
         work=work,
-        width=width,
+        width=-(-slots // width),
         depth=depth + 1 if trace else 0,
         supersteps=supersteps,
         estimate=estimate,

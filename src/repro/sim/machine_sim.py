@@ -25,8 +25,10 @@ recomputed here.
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..ir.basic_block import BasicBlock
 from ..ir.function import Function
@@ -103,159 +105,259 @@ class SimulationResult:
         return self.instructions / self.cycles if self.cycles else 0.0
 
 
+#: row layout of the issue counts of one cycle: ``row[u]`` counts the
+#: issues on unit type ``u`` (by ``UnitType.index``); cluster ``c`` keeps
+#: its own per-unit counts from ``row[(c + 1) * _UNITS]`` on
+_UNITS = len(UnitType)
+
+
+class _IssueRecord(NamedTuple):
+    """What issuing one static instruction needs, decoded once."""
+
+    #: register slots read
+    uses: tuple[int, ...]
+    #: (register slot, result latency) of each def
+    defs: tuple[tuple[int, int], ...]
+    #: ``UnitType.index`` of its unit, and the machine's count of them
+    unit: int
+    capacity: int
+    #: an unconditional branch the branch unit folds (no issue slot)
+    folded: bool
+    #: (line, tag) in the instruction cache; None without one
+    fetch: tuple[int, int] | None
+    #: (row offset, issue width, unit count) of every cluster owning the
+    #: unit, in cluster order; None on an unclustered machine
+    lanes: tuple[tuple[int, int, int], ...] | None
+    #: the first of those offsets (0 on an unclustered machine): where
+    #: the instruction issues in a cycle nothing has issued in yet
+    lane: int
+    #: the unit's result-buffer capacity; None without one
+    buffer: int | None
+
+
 class TraceSimulator:
-    """Streaming in-order multi-issue simulator."""
+    """Streaming in-order multi-issue simulator.
+
+    The simulator pays per static instruction, not per dynamic one.  The
+    first issue of an instruction decodes it into a record: its registers
+    become small ints (slots of a flat ready-cycle list), and its unit
+    index, unit count and per-def result latencies (one
+    :meth:`~repro.machine.MachineModel.issue_facts` call), branch
+    folding, instruction-cache line and buffer capacity are read once.
+    Every later issue touches only ints and lists.  Records are keyed by
+    the instruction object (an identity hash) and live as long as the
+    simulator; each entry point below builds a fresh simulator per run,
+    so a function mutated between runs is decoded afresh.
+
+    Issue is in order, so no instruction ever issues before the last
+    issue cycle: only that cycle can hold issue counts, and one row of
+    counters (``_row`` at ``_row_cycle``) replaces a table over cycles.
+    """
 
     def __init__(self, machine: MachineModel, config: SimConfig | None = None,
                  *, addresses: dict[int, int] | None = None):
         self.machine = machine
         self.config = config or SimConfig()
-        self._reg_ready: dict[Reg, int] = {}
-        self._unit_used: dict[tuple[UnitType, int], int] = defaultdict(int)
-        self._total_used: dict[int, int] = defaultdict(int)
+        self._width = machine.total_issue_width
+        #: instruction -> its decoded record
+        self._records: dict[Instruction, _IssueRecord] = {}
+        #: register -> slot in ``_ready``, the cycle it becomes consumable
+        #: (a missing register is given the next slot number, all in C)
+        self._slots: dict[Reg, int] = defaultdict(itertools.count().__next__)
+        self._ready: list[int] = []
         self._last_issue = 0
         self._issue_cycles: list[int] = []
+        #: issue counts of the last cycle anything issued in
+        self._clusters = machine.clusters
+        self._row_cycle = -1
+        self._row = [0] * (_UNITS * (1 + len(self._clusters or ())))
+        self._issued = 0
         #: id(instruction) -> static byte address, for the icache model
         self._addresses = addresses or {}
         self._icache_tags: dict[int, int] = {}
         self.icache_misses = 0
-        #: clustered machines: per-(cluster, cycle) and per-(cluster,
-        #: unit, cycle) issue counts
-        self._clusters = machine.clusters
-        self._cluster_used: dict[tuple[int, int], int] = defaultdict(int)
-        self._cluster_unit_used: dict[tuple[int, UnitType, int], int] = (
-            defaultdict(int))
-        #: exposed-datapath machines: which register currently occupies a
-        #: result buffer, and each unit's resident (register, produced
+        #: exposed-datapath machines: the unit whose result buffer holds
+        #: each register slot, and each unit's resident (slot, produced
         #: cycle) entries oldest-first
         self._buffers = machine.buffers
-        self._buffered_reg: dict[Reg, UnitType] = {}
-        self._buffer_fifo: dict[UnitType, list[tuple[Reg, int]]] = (
-            defaultdict(list))
+        self._buffered_reg: dict[int, int] = {}
+        self._buffer_fifo: list[list[tuple[int, int]]] = [
+            [] for _ in UnitType]
         self.buffer_drains = 0
+
+    # -- decode ------------------------------------------------------------
+
+    def _decode(self, ins: Instruction) -> _IssueRecord:
+        """Build (and keep) the record of ``ins``."""
+        unit, capacity, latencies = self.machine.issue_facts(ins)
+        slot = self._slots.__getitem__
+        uses = tuple(map(slot, ins.uses))
+        defs = tuple(zip(map(slot, ins.defs), latencies))
+        self._ready.extend([0] * (len(self._slots) - len(self._ready)))
+        folded = self.config.branch_folding and ins.opcode is Opcode.B
+        fetch = None
+        cache = self.config.icache
+        if cache is not None:
+            addr = self._addresses.get(id(ins))
+            if addr is not None:
+                fetch = ((addr // cache.line) % cache.lines,
+                         addr // (cache.line * cache.lines))
+        lanes = None
+        lane = 0
+        if self._clusters is not None:
+            lanes = tuple(
+                ((index + 1) * _UNITS, c.issue_width, c.unit_count(ins.unit))
+                for index, c in enumerate(self._clusters)
+                if c.unit_count(ins.unit) > 0)
+            if lanes:
+                lane = lanes[0][0]
+        buffer = None
+        if self._buffers is not None:
+            buffer = self._buffers.capacity(ins.unit)
+        record = self._records[ins] = _IssueRecord(
+            uses, defs, unit, capacity, folded, fetch, lanes, lane, buffer)
+        return record
 
     # -- core ------------------------------------------------------------
 
     def issue(self, ins: Instruction) -> int:
         """Issue one instruction; returns its issue cycle."""
-        machine = self.machine
-        earliest = self._last_issue
-        for reg in ins.reg_uses():
-            earliest = max(earliest, self._reg_ready.get(reg, 0))
-        earliest += self._fetch_penalty(ins)
+        self._issue_all((ins,))
+        return self._issue_cycles[-1]
 
-        if self.config.branch_folding and ins.opcode is Opcode.B:
-            # Folded: occupies no slot, but later instructions still may
-            # not issue before it (program order).
-            self._last_issue = earliest
-            self._issue_cycles.append(earliest)
-            return earliest
+    def _issue_all(self, instrs) -> None:
+        """Issue ``instrs`` in program order, appending each issue cycle
+        to ``_issue_cycles`` -- the one issue engine behind
+        :meth:`issue`, :meth:`run_blocks` and :func:`simulate_execution`."""
+        records = self._records
+        ready = self._ready
+        width = self._width
+        buffers = self._buffers
+        row = self._row
+        row_cycle = self._row_cycle
+        issued = self._issued
+        last = self._last_issue
+        append = self._issue_cycles.append
+        for ins in instrs:
+            record = records.get(ins)
+            if record is None:
+                record = self._decode(ins)
+            uses, defs, unit, capacity, folded, fetch, lanes, lane, _ = record
+            earliest = last
+            for slot in uses:
+                if ready[slot] > earliest:
+                    earliest = ready[slot]
+            if fetch is not None:
+                earliest += self._fetch_penalty(fetch)
 
-        drains = self._buffer_overflow(ins, earliest)
-        if drains:
-            self.buffer_drains += drains
-            earliest += drains * self._buffers.drain_penalty
+            if folded:
+                # Folded: occupies no slot, but later instructions still
+                # may not issue before it (program order).
+                last = earliest
+                append(earliest)
+                continue
 
-        unit = ins.unit
-        capacity = machine.unit_count(unit)
-        if capacity <= 0:
-            raise ValueError(
-                f"machine {machine.name!r} has no {unit.name} unit for {ins!r}"
-            )
-        cycle, cluster = self._find_slot(unit, capacity, earliest)
-        self._unit_used[(unit, cycle)] += 1
-        self._total_used[cycle] += 1
-        if cluster is not None:
-            self._cluster_used[(cluster, cycle)] += 1
-            self._cluster_unit_used[(cluster, unit, cycle)] += 1
-        self._last_issue = cycle
-        self._issue_cycles.append(cycle)
-        if self._buffers is not None:
-            self._buffer_update(ins, cycle)
-        for reg in ins.reg_defs():
-            self._reg_ready[reg] = cycle + machine.result_latency(ins, reg)
-        return cycle
+            if buffers is not None:
+                drains = self._buffer_overflow(record, earliest)
+                if drains:
+                    self.buffer_drains += drains
+                    earliest += drains * buffers.drain_penalty
 
-    def _find_slot(self, unit: UnitType, capacity: int,
-                   earliest: int) -> tuple[int, int | None]:
-        """First cycle >= ``earliest`` with a free slot (and, on clustered
-        machines, the index of the cluster issuing it)."""
-        width = self.machine.total_issue_width
-        cycle = earliest
-        while True:
-            if (self._unit_used[(unit, cycle)] < capacity
-                    and self._total_used[cycle] < width):
-                if self._clusters is None:
-                    return cycle, None
-                cluster = self._pick_cluster(unit, cycle)
-                if cluster is not None:
-                    return cycle, cluster
-            cycle += 1
+            if capacity <= 0:
+                raise ValueError(
+                    f"machine {self.machine.name!r} has no "
+                    f"{ins.unit.name} unit for {ins!r}"
+                )
+            cycle = earliest
+            if cycle == row_cycle:
+                # something already issued this cycle: is there room left?
+                if row[unit] >= capacity or issued >= width:
+                    cycle += 1
+                elif lanes is not None:
+                    free = self._free_lane(lanes, unit, row)
+                    if free is None:
+                        cycle += 1
+                    else:
+                        lane = free
+            if cycle != row_cycle:
+                # a cycle nothing issued in yet: the first lane is free
+                row = [0] * len(row)
+                row_cycle = cycle
+                issued = 0
+            row[unit] += 1
+            issued += 1
+            if lane:
+                row[lane + unit] += 1
+            last = cycle
+            append(cycle)
+            if buffers is not None:
+                self._buffer_update(record, cycle)
+            for slot, latency in defs:
+                ready[slot] = cycle + latency
+        self._row = row
+        self._row_cycle = row_cycle
+        self._issued = issued
+        self._last_issue = last
 
-    def _pick_cluster(self, unit: UnitType, cycle: int) -> int | None:
-        """Lowest-index cluster with a free ``unit`` slot this cycle."""
-        for index, cluster in enumerate(self._clusters):
-            if (self._cluster_used[(index, cycle)] < cluster.issue_width
-                    and self._cluster_unit_used[(index, unit, cycle)]
-                    < cluster.unit_count(unit)):
-                return index
+    @staticmethod
+    def _free_lane(lanes: tuple, unit: int, row: list[int]) -> int | None:
+        """Row offset of the lowest-index cluster with a free ``unit``
+        slot in the cycle counted by ``row``, or None."""
+        for lane, lane_width, lane_capacity in lanes:
+            if (row[lane + unit] < lane_capacity
+                    and sum(row[lane:lane + _UNITS]) < lane_width):
+                return lane
         return None
 
     # -- exposed-datapath result buffers ----------------------------------
 
-    def _buffer_overflow(self, ins: Instruction, now: int) -> int:
-        """Forced drains of still-hot results issuing ``ins`` at ``now``
+    def _buffer_overflow(self, record: _IssueRecord, now: int) -> int:
+        """Forced drains of still-hot results issuing ``record`` at ``now``
         would cause (0 = the results fit, or every eviction is of a stale
         result the writeback port already retired for free)."""
-        buf = self._buffers
-        if buf is None:
+        defs, cap = record.defs, record.buffer
+        if not defs or cap is None:
             return 0
-        defs = ins.reg_defs()
-        if not defs:
-            return 0
-        cap = buf.capacity(ins.unit)
-        if cap is None:
-            return 0
-        freed = set(ins.reg_uses()) | set(defs)
-        resident = [produced for reg, produced in self._buffer_fifo[ins.unit]
-                    if reg not in freed]
+        freed = set(record.uses)
+        freed.update(slot for slot, _latency in defs)
+        resident = [produced
+                    for slot, produced in self._buffer_fifo[record.unit]
+                    if slot not in freed]
         overflow = len(resident) + len(defs) - cap
         if overflow <= 0:
             return 0
         # evictions happen oldest-first; only still-hot victims cost
+        free_after = self._buffers.free_after
         return sum(1 for produced in resident[:overflow]
-                   if now - produced < buf.free_after)
+                   if now - produced < free_after)
 
-    def _buffer_update(self, ins: Instruction, cycle: int) -> None:
-        """Account buffer traffic of issuing ``ins``: its reads free the
-        producers' slots, its results claim slots (evicting oldest-first
-        on overflow -- any hot-drain penalty was already charged)."""
-        buf = self._buffers
-        for reg in ins.reg_uses():
-            self._release_buffer(reg)
-        defs = ins.reg_defs()
-        for reg in defs:
+    def _buffer_update(self, record: _IssueRecord, cycle: int) -> None:
+        """Account buffer traffic of issuing ``record``: its reads free
+        the producers' slots, its results claim slots (evicting
+        oldest-first on overflow -- any hot-drain penalty was already
+        charged)."""
+        defs, unit, cap = record.defs, record.unit, record.buffer
+        for slot in record.uses:
+            self._release_buffer(slot)
+        for slot, _latency in defs:
             # a redefinition invalidates any still-buffered old value,
             # whichever unit produced it
-            self._release_buffer(reg)
-        if not defs:
+            self._release_buffer(slot)
+        if not defs or cap is None:
             return
-        cap = buf.capacity(ins.unit)
-        if cap is None:
-            return
-        fifo = self._buffer_fifo[ins.unit]
+        fifo = self._buffer_fifo[unit]
         while len(fifo) + len(defs) > cap:
             del self._buffered_reg[fifo.pop(0)[0]]
-        for reg in defs:
-            fifo.append((reg, cycle))
-            self._buffered_reg[reg] = ins.unit
+        for slot, _latency in defs:
+            fifo.append((slot, cycle))
+            self._buffered_reg[slot] = unit
 
-    def _release_buffer(self, reg: Reg) -> None:
-        unit = self._buffered_reg.pop(reg, None)
+    def _release_buffer(self, slot: int) -> None:
+        unit = self._buffered_reg.pop(slot, None)
         if unit is not None:
             fifo = self._buffer_fifo[unit]
             for i, (resident, _produced) in enumerate(fifo):
-                if resident == reg:
+                if resident == slot:
                     del fifo[i]
                     break
 
@@ -268,9 +370,8 @@ class TraceSimulator:
                 self._peek_next_cycle(block.instrs[0]) if block.instrs
                 else self._last_issue
             )
-            for ins in block.instrs:
-                self.issue(ins)
-                count += 1
+            self._issue_all(block.instrs)
+            count += len(block.instrs)
         last = max(self._issue_cycles, default=-1)
         return SimulationResult(
             cycles=last + 1,
@@ -281,36 +382,37 @@ class TraceSimulator:
             buffer_drains=self.buffer_drains,
         )
 
-    def _fetch_penalty(self, ins: Instruction) -> int:
-        """Instruction-cache lookup: 0 on a hit or with no cache model."""
-        cache = self.config.icache
-        if cache is None:
-            return 0
-        addr = self._addresses.get(id(ins))
-        if addr is None:
-            return 0
-        line_index = (addr // cache.line) % cache.lines
-        tag = addr // (cache.line * cache.lines)
+    def _fetch_penalty(self, fetch: tuple[int, int]) -> int:
+        """Instruction-cache lookup of a decoded ``(line, tag)``: 0 on a
+        hit."""
+        line_index, tag = fetch
         if self._icache_tags.get(line_index) == tag:
             return 0
         self._icache_tags[line_index] = tag
         self.icache_misses += 1
-        return cache.miss_penalty
+        return self.config.icache.miss_penalty
 
     def _peek_next_cycle(self, ins: Instruction) -> int:
         """The cycle ``ins`` would issue at, without issuing it."""
+        record = self._records.get(ins) or self._decode(ins)
         earliest = self._last_issue
-        for reg in ins.reg_uses():
-            earliest = max(earliest, self._reg_ready.get(reg, 0))
-        if self.config.branch_folding and ins.opcode is Opcode.B:
+        for slot in record.uses:
+            earliest = max(earliest, self._ready[slot])
+        if record.folded:
             return earliest
-        drains = self._buffer_overflow(ins, earliest)
-        if drains:
-            earliest += drains * self._buffers.drain_penalty
-        unit = ins.unit
-        capacity = max(self.machine.unit_count(unit), 1)
-        cycle, _cluster = self._find_slot(unit, capacity, earliest)
-        return cycle
+        if self._buffers is not None:
+            drains = self._buffer_overflow(record, earliest)
+            if drains:
+                earliest += drains * self._buffers.drain_penalty
+        if earliest == self._row_cycle:
+            # the room test of _issue_all
+            row, unit, lanes = self._row, record.unit, record.lanes
+            if (row[unit] >= max(record.capacity, 1)
+                    or self._issued >= self._width
+                    or (lanes is not None
+                        and self._free_lane(lanes, unit, row) is None)):
+                return earliest + 1
+        return earliest
 
 
 def simulate_trace(
@@ -367,12 +469,16 @@ def simulate_execution(
         func, regs=regs, memory=memory, call_handlers=call_handlers,
         max_steps=max_steps,
     ).run()
-    sim = TraceSimulator(machine, config, addresses=layout_addresses(func))
-    issue_cycles = [sim.issue(ins) for ins in result.instr_trace]
-    last = max(issue_cycles, default=-1)
+    # only the instruction-cache model reads the layout
+    addresses = (layout_addresses(func)
+                 if config is not None and config.icache is not None
+                 else None)
+    sim = TraceSimulator(machine, config, addresses=addresses)
+    sim._issue_all(result.instr_trace)
+    issue_cycles = sim._issue_cycles
     timing = SimulationResult(
-        cycles=last + 1,
-        instructions=len(result.instr_trace),
+        cycles=max(issue_cycles, default=-1) + 1,
+        instructions=len(issue_cycles),
         issue_cycles=issue_cycles,
         icache_misses=sim.icache_misses,
         buffer_drains=sim.buffer_drains,

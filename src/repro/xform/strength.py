@@ -102,8 +102,8 @@ def strength_reduce(func: Function,
     return report
 
 
-def _loop_instructions(func: Function, loop: Loop) -> list[Instruction]:
-    return [ins for label in loop.body for ins in func.block(label).instrs]
+def _loop_instructions(func: Function, body: list[str]) -> list[Instruction]:
+    return [ins for label in body for ins in func.block(label).instrs]
 
 
 def _def_counts(instrs: list[Instruction]) -> dict[Reg, int]:
@@ -114,10 +114,10 @@ def _def_counts(instrs: list[Instruction]) -> dict[Reg, int]:
     return counts
 
 
-def _find_basic_ivs(func: Function, loop: Loop,
+def _find_basic_ivs(func: Function, body: list[str],
                     counts: dict[Reg, int]) -> dict[Reg, _BasicIV]:
     ivs: dict[Reg, _BasicIV] = {}
-    for label in loop.body:
+    for label in body:
         block = func.block(label)
         for ins in block.instrs:
             if ins.opcode not in (Opcode.AI, Opcode.SI):
@@ -130,11 +130,11 @@ def _find_basic_ivs(func: Function, loop: Loop,
     return ivs
 
 
-def _find_chains(func: Function, loop: Loop, ivs: dict[Reg, _BasicIV],
+def _find_chains(func: Function, body: list[str], ivs: dict[Reg, _BasicIV],
                  counts: dict[Reg, int]) -> list[_Chain]:
     # derived offsets: j = i + c with i basic and j single-def
     derived: dict[Reg, tuple[_BasicIV, int, Instruction]] = {}
-    for label in loop.body:
+    for label in body:
         for ins in func.block(label).instrs:
             if ins.opcode not in (Opcode.AI, Opcode.SI):
                 continue
@@ -148,7 +148,7 @@ def _find_chains(func: Function, loop: Loop, ivs: dict[Reg, _BasicIV],
     # single-def shifts of (derived) induction variables
     shifts: dict[Reg, tuple[_BasicIV, int, int, Instruction,
                             Instruction | None]] = {}
-    for label in loop.body:
+    for label in body:
         for ins in func.block(label).instrs:
             if ins.opcode is not Opcode.SL:
                 continue
@@ -163,7 +163,7 @@ def _find_chains(func: Function, loop: Loop, ivs: dict[Reg, _BasicIV],
                 shifts[dest] = (iv, offset, ins.imm, ins, producer)
 
     chains: list[_Chain] = []
-    for label in loop.body:
+    for label in body:
         block = func.block(label)
         for ins in block.instrs:
             if ins.opcode is not Opcode.A:
@@ -176,7 +176,7 @@ def _find_chains(func: Function, loop: Loop, ivs: dict[Reg, _BasicIV],
                 if t in shifts and counts.get(base, 0) == 0:
                     iv, offset, shift, sl_ins, producer = shifts[t]
                     chain = _validate_chain(
-                        func, loop, _Chain(iv, offset, shift, base, dest,
+                        func, body, _Chain(iv, offset, shift, base, dest,
                                            sl_ins, ins, producer, block, []))
                     if chain is not None:
                         chains.append(chain)
@@ -184,7 +184,7 @@ def _find_chains(func: Function, loop: Loop, ivs: dict[Reg, _BasicIV],
     return chains
 
 
-def _validate_chain(func: Function, loop: Loop,
+def _validate_chain(func: Function, body: list[str],
                     chain: _Chain) -> _Chain | None:
     """Check the single-block / no-intervening-step safety condition and
     collect the memory accesses to rewrite."""
@@ -198,7 +198,7 @@ def _validate_chain(func: Function, loop: Loop,
 
     # every use of addr anywhere must be a memory base in this block
     use_indices: list[int] = []
-    for label in loop.body:
+    for label in body:
         for ins in func.block(label).instrs:
             if chain.addr not in ins.reg_uses():
                 continue
@@ -216,7 +216,7 @@ def _validate_chain(func: Function, loop: Loop,
             use_indices.append(block.index_of(ins))
             chain.accesses.append(ins)
     # ... and not outside the loop either
-    loop_ids = {id(i) for i in _loop_instructions(func, loop)}
+    loop_ids = {id(i) for i in _loop_instructions(func, body)}
     for ins in func.instructions():
         if id(ins) not in loop_ids and chain.addr in ins.reg_uses():
             return None
@@ -236,12 +236,16 @@ def _validate_chain(func: Function, loop: Loop,
 def _reduce_loop(func: Function, loop: Loop,
                  live_at_exit: frozenset[Reg],
                  report: StrengthReductionReport) -> None:
-    instrs = _loop_instructions(func, loop)
+    # ``loop.body`` is a set of labels: walk it in sorted order, so the
+    # pointers, their registers and the emitted code do not depend on
+    # the string hash seed of the process
+    body = sorted(loop.body)
+    instrs = _loop_instructions(func, body)
     counts = _def_counts(instrs)
-    ivs = _find_basic_ivs(func, loop, counts)
+    ivs = _find_basic_ivs(func, body, counts)
     if not ivs:
         return
-    chains = _find_chains(func, loop, ivs, counts)
+    chains = _find_chains(func, body, ivs, counts)
     if not chains:
         return
 
@@ -270,7 +274,7 @@ def _reduce_loop(func: Function, loop: Loop,
             report.rewritten_accesses += 1
 
     report.deleted_instructions += _sweep_dead_chains(
-        func, loop, chains, live_at_exit)
+        func, body, chains, live_at_exit)
 
 
 def _emit_pointer_init(func: Function, outside_preds: list[BasicBlock],
@@ -304,7 +308,7 @@ def _emit_pointer_step(func: Function, chain: _Chain, pointer: Reg) -> None:
     block.instrs.insert(block.index_of(chain.iv.increment) + 1, bump)
 
 
-def _sweep_dead_chains(func: Function, loop: Loop, chains: list[_Chain],
+def _sweep_dead_chains(func: Function, body: list[str], chains: list[_Chain],
                        live_at_exit: frozenset[Reg]) -> int:
     """Delete chain instructions whose results are no longer used."""
     candidates: list[tuple[Reg, Instruction]] = []
@@ -319,7 +323,7 @@ def _sweep_dead_chains(func: Function, loop: Loop, chains: list[_Chain],
                 candidates.append((reg, ins))
 
     owner = {id(ins): func.block(label)
-             for label in loop.body
+             for label in body
              for ins in func.block(label).instrs}
 
     deleted = 0

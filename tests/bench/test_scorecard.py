@@ -1,13 +1,17 @@
 """The cross-model scorecard: structure, gates, determinism, golden, CLI.
 
-The golden file pins the rs6k column of the matrix byte-for-byte: any
-cycle count, BSP bound or flag that moves is a behaviour change someone
-must sign off on with ``pytest --update-goldens``.
+``tests/golden/scorecard.json`` is the whole 150-cell matrix (five
+programs x ten machines x three levels), byte for byte as ``python -m
+repro scorecard --out`` writes it: any cycle count, instruction count,
+buffer drain, BSP bound or flag that moves is a behaviour change someone
+must sign off on with ``pytest --update-goldens``.  Here the rs6k row is
+replayed; CI replays all ten machines under two hash seeds.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,9 @@ from repro.bench.scorecard import (
 
 #: a single-program, single-machine card: enough structure, fast to run
 FAST = dict(machines=("ss2",), workloads=(MINMAX_WORKLOAD,))
+
+#: the full-zoo matrix, as ``repro scorecard --out`` writes it
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "scorecard.json"
 
 
 class TestMatrixStructure:
@@ -66,10 +73,19 @@ class TestDeterminism:
         assert payload["machines"] == ["ss2"]
         assert len(payload["cells"]) == 3
 
-    def test_golden_rs6k_matrix(self, golden):
+    def test_golden_rs6k_matrix(self, request):
+        if request.config.getoption("--update-goldens"):
+            GOLDEN.write_text(run_scorecard().to_json())
+        golden = json.loads(GOLDEN.read_text())
+        assert len(golden["machines"]) == 10 and len(golden["cells"]) == 150
+        rows = [c for c in golden["cells"] if c["machine"] == "rs6k"]
+        expected = dict(golden, machines=["rs6k"], cells=rows)
         card = run_scorecard(machines=("rs6k",),
                              workloads=SCORECARD_WORKLOADS)
-        golden("scorecard_rs6k.json", card.to_json())
+        assert card.to_json() == (
+            json.dumps(expected, indent=2, sort_keys=True) + "\n"), (
+            "the rs6k row differs from tests/golden/scorecard.json; if "
+            "the change is intended, rerun with --update-goldens")
 
 
 class TestFailurePropagation:

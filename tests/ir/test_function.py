@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.ir import Builder, CR_LT, Function, Opcode, RegClass, cr, gpr
+from repro.ir import (BasicBlock, Builder, CR_LT, Function, Opcode, RegClass,
+                      cr, gpr)
 
 
 def linear_function():
@@ -56,6 +57,13 @@ class TestLayoutAndEdges:
         mid = f.add_block("m", after=f.block("a"))
         assert [b.label for b in f.blocks] == ["a", "m", "b", "c"]
         assert f.fallthrough(f.block("a")) is mid
+
+    def test_layout_index_is_by_identity(self):
+        f = linear_function()
+        assert [f.layout_index(b) for b in f.blocks] == [0, 1, 2]
+        twin = BasicBlock("b", list(f.block("b").instrs))
+        with pytest.raises(ValueError, match=r"^block b is not in f$"):
+            f.layout_index(twin)
 
     def test_remove_block(self):
         f = linear_function()

@@ -1,5 +1,10 @@
 """Strength-reduction tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.ir import Opcode, gpr, parse_function, verify_function
@@ -233,3 +238,33 @@ int f(int a[], int n) {
         data = [2, 4, 6]
         expected = sum(sum(data) + data[i] for i in range(3))
         assert run(cf, data, 3).return_value == expected
+
+
+#: compiles one bench kernel and prints its assembly (run in a fresh
+#: interpreter so that the string hash seed can differ between runs)
+_ASSEMBLY_SCRIPT = """
+from repro.bench.programs import WORKLOADS
+from repro.compiler import compile_c
+from repro.machine.configs import CONFIGS
+from repro.sched.candidates import ScheduleLevel
+(gcc,) = [w for w in WORKLOADS if w.name == "gcc_like"]
+unit = compile_c(gcc.source, machine=CONFIGS["xdp"](),
+                 level=ScheduleLevel.USEFUL)
+print("".join(u.assembly() for u in unit))
+"""
+
+
+def test_assembly_does_not_depend_on_the_hash_seed():
+    """Loop bodies are label sets; walking one in hash order once gave
+    ``A r29=r1,r30`` under PYTHONHASHSEED=0 and ``A r29=r0,r30`` under 4
+    (gcc_like on xdp at the useful level)."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    outputs = []
+    for seed in ("0", "4"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", _ASSEMBLY_SCRIPT],
+                              capture_output=True, text=True, env=env,
+                              timeout=300, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0]
+    assert outputs[0] == outputs[1]
