@@ -452,7 +452,6 @@ def cmd_serve(args) -> int:
         cache_entries=args.cache_entries, cache_dir=args.cache_dir,
         batch_size=args.batch_size, queue_size=args.queue_size,
         allow_chaos=args.chaos, scorecard=args.scorecard,
-        supervise=not args.no_supervise,
         hang_timeout_s=args.hang_timeout,
         max_rebuilds=args.max_rebuilds,
         rebuild_window_s=args.rebuild_window,
@@ -507,17 +506,17 @@ def cmd_chaos(args) -> int:
         if args.verbose:
             print(result.format(), flush=True)
 
+    from .resilience import run_chaos
+
     if args.service:
-        from .resilience.service_chaos import run_service_chaos
+        from .resilience.service_chaos import run_service_chaos_case
 
-        report = run_service_chaos(args.n, args.seed,
-                                   machine_name=args.machine,
-                                   jobs=args.jobs, on_progress=progress)
+        report = run_chaos(args.n, args.seed, case=run_service_chaos_case,
+                           on_progress=progress, machine_name=args.machine,
+                           jobs=args.jobs)
     else:
-        from .resilience import run_chaos
-
-        report = run_chaos(args.n, args.seed, machine_name=args.machine,
-                           on_progress=progress)
+        report = run_chaos(args.n, args.seed, on_progress=progress,
+                           machine_name=args.machine)
     if not args.verbose:
         for violation in report.violations:
             print(violation.format())
@@ -670,9 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume-journal", action="store_true",
                    help="on start, replay the journal's incomplete "
                         "requests before serving (requires --journal)")
-    p.add_argument("--no-supervise", action="store_true",
-                   help="raw worker pool without the supervisor (bench "
-                        "baseline; a crashed worker can wedge a batch)")
     p.add_argument("--hang-timeout", type=float, metavar="SECONDS",
                    help="supervisor deadline for in-flight jobs; a job "
                         "past it is quarantined and its pool rebuilt "

@@ -263,8 +263,8 @@ class DegradationEvent(TraceEvent):
 
 @dataclass(frozen=True)
 class SupervisorEvent(TraceEvent):
-    """The service supervisor acted on the worker pool (see
-    :mod:`repro.service.supervisor`)."""
+    """The job pool's supervision acted on its workers (see
+    :mod:`repro.service.jobs`)."""
 
     kind: ClassVar[str] = "supervisor"
     #: "worker-lost" | "worker-hung" | "pool-rebuilt" | "breaker-tripped"

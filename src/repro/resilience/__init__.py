@@ -33,12 +33,10 @@ from .faults import (
     SITES,
     ActiveFault,
     FaultPlan,
-    ServiceFaultPlan,
     plan_for_seed,
-    service_plan_for_seed,
 )
 from .ladder import LADDER, ResilienceConfig, Rung, worst_rung
-from .service_chaos import run_service_chaos, run_service_chaos_case
+from .service_chaos import run_service_chaos_case
 from .runner import (
     AttemptRecord,
     ResilientPipelineReport,
@@ -63,15 +61,12 @@ __all__ = [
     "ResilientPipelineReport",
     "Rung",
     "SERVICE_SITES",
-    "ServiceFaultPlan",
     "can_preempt",
     "plan_for_seed",
     "resilient_optimize",
     "run_chaos",
     "run_chaos_case",
-    "run_service_chaos",
     "run_service_chaos_case",
-    "service_plan_for_seed",
     "watchdog",
     "worst_rung",
 ]

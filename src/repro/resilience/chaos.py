@@ -14,7 +14,9 @@ resilience property, checked per case:
   violation and fails the case.
 
 ``repro chaos --n 200 --seed 1991`` sweeps 200 plans; CI runs a 50-plan
-smoke on every push.
+smoke on every push.  :func:`run_chaos` is also the sweep of the
+service-boundary cases (``repro chaos --service``, see
+:mod:`repro.resilience.service_chaos`).
 """
 
 from __future__ import annotations
@@ -160,17 +162,19 @@ def run_chaos_case(case_seed: int, *,
 
 
 def run_chaos(n: int, seed: int, *,
-              machine_name: str = "rs6k",
+              case: Callable[..., ChaosResult] = run_chaos_case,
               on_progress: Callable[[ChaosResult], None] | None = None,
-              ) -> ChaosReport:
-    """Sweep ``n`` seeded fault plans; case ``i`` uses
-    ``derive_seed(seed, i)`` so any violation reproduces from (seed, i)."""
+              **options) -> ChaosReport:
+    """Sweep ``n`` seeded fault plans through ``case`` (the pipeline's
+    :func:`run_chaos_case`, or the service's
+    :func:`~repro.resilience.service_chaos.run_service_chaos_case`),
+    passing ``options`` on; case ``i`` uses ``derive_seed(seed, i)`` so
+    any violation reproduces from (seed, i)."""
     from ..verify.fuzz import derive_seed
 
     report = ChaosReport(master_seed=seed)
     for index in range(n):
-        result = run_chaos_case(derive_seed(seed, index),
-                                machine_name=machine_name)
+        result = case(derive_seed(seed, index), **options)
         report.results.append(result)
         if on_progress is not None:
             on_progress(result)

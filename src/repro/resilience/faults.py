@@ -55,27 +55,6 @@ SERVICE_SITES: tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
-class ServiceFaultPlan:
-    """One deterministic service-boundary fault, described by its seed."""
-
-    seed: int
-    site: str
-    #: site-specific knob (bytes torn off the journal tail, frame splits)
-    param: int
-
-    def describe(self) -> str:
-        return f"{self.site} (seed {self.seed}, param {self.param})"
-
-
-def service_plan_for_seed(seed: int) -> ServiceFaultPlan:
-    """The service fault plan of ``seed`` -- same seed, same plan."""
-    rng = random.Random(seed)
-    site = rng.choice(SERVICE_SITES)
-    param = rng.randrange(2, 6)
-    return ServiceFaultPlan(seed=seed, site=site, param=param)
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """One deterministic fault, fully described by its seed."""
 
@@ -83,7 +62,8 @@ class FaultPlan:
     site: str
     #: target stage for ``pass.*`` sites, None otherwise
     stage: str | None
-    #: site-specific knob (modulus for ``ddg.drop-edge``)
+    #: site-specific knob (modulus for ``ddg.drop-edge``, bytes torn off
+    #: the journal tail, frame splits)
     param: int
 
     def describe(self) -> str:
@@ -91,10 +71,12 @@ class FaultPlan:
         return f"{self.site}{target} (seed {self.seed}, param {self.param})"
 
 
-def plan_for_seed(seed: int) -> FaultPlan:
-    """The fault plan of ``seed`` -- same seed, same plan, forever."""
+def plan_for_seed(seed: int, sites: tuple[str, ...] = SITES) -> FaultPlan:
+    """The fault plan of ``seed`` over the site table ``sites``
+    (:data:`SITES` or :data:`SERVICE_SITES`) -- same seed, same plan,
+    forever."""
     rng = random.Random(seed)
-    site = rng.choice(SITES)
+    site = rng.choice(sites)
     stage = rng.choice(STAGES) if site.startswith("pass.") else None
     param = rng.randrange(2, 6)
     return FaultPlan(seed=seed, site=site, stage=stage, param=param)

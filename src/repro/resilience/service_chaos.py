@@ -45,12 +45,11 @@ import threading
 import time
 import traceback
 from random import Random
-from typing import Callable
 
 from .budget import watchdog
-from .chaos import ChaosReport, ChaosResult
+from .chaos import ChaosResult
 from .errors import BudgetExceeded
-from .faults import service_plan_for_seed
+from .faults import SERVICE_SITES, plan_for_seed
 
 #: statuses that are acceptable typed substitutes for a reference answer
 TYPED_STATUSES = frozenset({"error", "quarantined", "overloaded"})
@@ -171,7 +170,7 @@ def _classify(reference: dict[int, dict], expected_ids: list[int],
 # -- scenarios ----------------------------------------------------------------
 
 def _scenario_worker_kill(lines, machine_name, jobs, param):
-    """SIGKILL every worker mid-batch; the supervisor must rebuild and
+    """SIGKILL every worker mid-batch; the pool must rebuild them and
     the batch must still complete with reference answers."""
     from ..service import Daemon, ServeConfig
 
@@ -198,8 +197,8 @@ def _scenario_worker_kill(lines, machine_name, jobs, param):
 
 
 def _scenario_worker_hang(lines, machine_name, jobs, param):
-    """One request wedges far past the supervisor's hang deadline; the
-    supervisor must quarantine it and answer everything else."""
+    """One request wedges far past the pool's hang deadline; the pool
+    must quarantine it and answer everything else."""
     from ..service import Daemon, ServeConfig
 
     config = ServeConfig(jobs=max(jobs, 2), machine=machine_name,
@@ -360,12 +359,12 @@ _SCENARIOS = {
 }
 
 
-# -- the sweep ----------------------------------------------------------------
+# -- the case -----------------------------------------------------------------
 
 def run_service_chaos_case(case_seed: int, *, machine_name: str = "rs6k",
                            jobs: int = 2) -> ChaosResult:
     """Run one service fault plan end to end (see module docstring)."""
-    plan = service_plan_for_seed(case_seed)
+    plan = plan_for_seed(case_seed, SERVICE_SITES)
     lines, expected_ids, sources = _case_requests(case_seed, plan.site)
     try:
         reference = _reference(lines, machine_name, sources)
@@ -390,22 +389,3 @@ def run_service_chaos_case(case_seed: int, *, machine_name: str = "rs6k",
     outcome, detail = _classify(reference, expected_ids, collected)
     return ChaosResult(case_seed=case_seed, plan=plan, outcome=outcome,
                        fired=True, detail=detail)
-
-
-def run_service_chaos(n: int, seed: int, *, machine_name: str = "rs6k",
-                      jobs: int = 2,
-                      on_progress: Callable[[ChaosResult], None] | None
-                      = None) -> ChaosReport:
-    """Sweep ``n`` seeded service fault plans; case ``i`` uses
-    ``derive_seed(seed, i)`` so any violation reproduces from (seed, i)."""
-    from ..verify.fuzz import derive_seed
-
-    report = ChaosReport(master_seed=seed)
-    for index in range(n):
-        result = run_service_chaos_case(derive_seed(seed, index),
-                                        machine_name=machine_name,
-                                        jobs=jobs)
-        report.results.append(result)
-        if on_progress is not None:
-            on_progress(result)
-    return report

@@ -3,14 +3,16 @@
 The reusable pieces (see DESIGN.md sections 10 and 13):
 
 * :mod:`repro.service.jobs` -- bounded-queue, sharded, quarantining
-  :class:`JobPool`, generalized out of the PR-2/PR-4 fuzz machinery;
-* :mod:`repro.service.supervisor` -- :class:`SupervisedPool`, the
-  crash-only wrapper that detects dead/hung workers, rebuilds the pool
-  in place, and trips a circuit breaker into inline mode;
+  :class:`JobPool`, the one batch path of fuzz and serve: it detects
+  dead/hung workers, rebuilds them in place, and trips a circuit breaker
+  into inline mode;
+* :mod:`repro.service.wal` -- the one write-ahead-log format of fuzz
+  checkpoints and the serve journal;
 * :mod:`repro.service.cache` -- content-addressed :class:`ArtifactCache`
   (SHA-256 of source x machine x level x config);
-* :mod:`repro.service.journal` -- the write-ahead :class:`Journal` that
-  makes ``kill -9`` recoverable (``--journal`` / ``--resume-journal``);
+* :mod:`repro.service.journal` -- the :class:`Journal`, two record kinds
+  on that log, which makes ``kill -9`` recoverable (``--journal`` /
+  ``--resume-journal``);
 * :mod:`repro.service.daemon` -- the JSONL front door behind
   ``python -m repro serve``, with admission control and protocol
   hardening;
@@ -28,10 +30,10 @@ from .jobs import (
     JobResult,
     JobSpec,
     JobWorkerError,
+    SupervisorConfig,
 )
 from .journal import Journal, JournalError, JournalState, load_journal
 from .scorecard import format_scorecard
-from .supervisor import SupervisedPool, SupervisorConfig
 
 __all__ = [
     "Artifact",
@@ -49,7 +51,6 @@ __all__ = [
     "JournalError",
     "JournalState",
     "load_journal",
-    "SupervisedPool",
     "SupervisorConfig",
     "OK",
     "ERROR",

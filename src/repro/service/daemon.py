@@ -34,10 +34,9 @@ a batch's responses are byte-identical for every ``--jobs`` value.
 
 Three service-hardening layers ride on top of the batch engine:
 
-* **supervision** -- the pool is a
-  :class:`~repro.service.supervisor.SupervisedPool`: dead or hung
-  workers are detected and the pool rebuilt in place; repeated rebuilds
-  trip a circuit breaker into inline mode (see ``supervisor.py``);
+* **supervision** -- the :class:`~repro.service.jobs.JobPool` detects
+  dead or hung workers and rebuilds them in place; repeated rebuilds
+  trip a circuit breaker into inline mode (see ``jobs.py``);
 * **write-ahead journal** -- ``--journal`` records accepted requests
   and completions so ``--resume-journal`` can replay whatever a crash
   interrupted (see ``journal.py``);
@@ -76,10 +75,9 @@ from ..sched.candidates import ScheduleLevel
 from ..xform.pipeline import PipelineConfig
 from . import worker
 from .cache import Artifact, ArtifactCache, cache_key
-from .jobs import ERROR, OK, QUARANTINED, JobPool, JobSpec
+from .jobs import ERROR, OK, QUARANTINED, JobPool, JobSpec, SupervisorConfig
 from .journal import Journal, load_journal
 from .scorecard import format_scorecard
-from .supervisor import SupervisedPool, SupervisorConfig
 
 _LEVELS = {level.value: level for level in ScheduleLevel}
 
@@ -117,8 +115,6 @@ class ServeConfig:
     #: print a scorecard to stderr after every batch
     scorecard: bool = False
     # -- supervision ---------------------------------------------------------
-    #: wrap the pool in the supervisor (off = raw pool, the bench baseline)
-    supervise: bool = True
     #: supervisor hang deadline for in-flight jobs (None = watchdog only)
     hang_timeout_s: float | None = None
     #: pool rebuilds inside the window before the breaker trips
@@ -246,7 +242,7 @@ class AdmissionController:
 
 
 class Daemon:
-    """A long-lived batch-compile service over one supervised pool."""
+    """A long-lived batch-compile service over one self-healing pool."""
 
     def __init__(self, config: ServeConfig | None = None,
                  metrics: MetricsCollector | None = None, tracer=None):
@@ -270,37 +266,25 @@ class Daemon:
     # -- lifecycle -----------------------------------------------------------
 
     @property
-    def pool(self):
+    def pool(self) -> JobPool:
         if self._pool is None:
-            if self.config.supervise:
-                self._pool = SupervisedPool(
-                    worker.compile_request,
-                    jobs=self.config.jobs,
-                    queue_size=self.config.queue_size,
-                    timeout_s=self.config.timeout_s,
-                    typed_errors=worker.TYPED_ERRORS,
-                    metrics=self.metrics,
-                    tracer=self.tracer,
-                    supervisor=SupervisorConfig(
-                        hang_timeout_s=self.config.hang_timeout_s,
-                        max_rebuilds=self.config.max_rebuilds,
-                        rebuild_window_s=self.config.rebuild_window_s),
-                )
-            else:
-                self._pool = JobPool(
-                    worker.compile_request,
-                    jobs=self.config.jobs,
-                    queue_size=self.config.queue_size,
-                    timeout_s=self.config.timeout_s,
-                    typed_errors=worker.TYPED_ERRORS,
-                    metrics=self.metrics,
-                )
+            self._pool = JobPool(
+                worker.compile_request,
+                jobs=self.config.jobs,
+                queue_size=self.config.queue_size,
+                timeout_s=self.config.timeout_s,
+                typed_errors=worker.TYPED_ERRORS,
+                metrics=self.metrics,
+                tracer=self.tracer,
+                supervisor=SupervisorConfig(
+                    hang_timeout_s=self.config.hang_timeout_s,
+                    max_rebuilds=self.config.max_rebuilds,
+                    rebuild_window_s=self.config.rebuild_window_s),
+            )
         return self._pool
 
     def supervisor_stats(self) -> dict | None:
-        if isinstance(self._pool, SupervisedPool):
-            return self._pool.stats()
-        return None
+        return self._pool.stats() if self._pool is not None else None
 
     def request_shutdown(self) -> None:
         """Stop accepting new requests; already-accepted work drains."""

@@ -2,7 +2,7 @@
 
 ``repro serve --journal PATH`` records every accepted request *before*
 it is served and every completion *after* its response has been written,
-as one JSON object per line:
+as records of the write-ahead log (:mod:`repro.service.wal`, no header):
 
 * ``{"j": "req",  "seq": N, "line": <raw request line>}``
 * ``{"j": "done", "seq": N, "id": ..., "status": ...,
@@ -11,34 +11,25 @@ as one JSON object per line:
 The ``done`` record carries the full artifact for ``ok`` compiles, so a
 replay can seed the content-addressed cache and serve the recorded
 bytes instead of guessing.  On restart, ``--resume-journal`` loads the
-journal, truncates a torn final line (the one record a ``kill -9``
-mid-write can leave half-flushed), seeds the cache from the recorded
-artifacts, and replays every request with no ``done`` record through
-the normal batch path.  Because a compile is a pure function of its
-payload and replayed requests ride the same cache-key dedupe, the
-response set after crash + resume is byte-identical to an uninterrupted
-run -- the property ``tests/service/test_journal.py`` checks for every
-pool width.
-
-Torn tails are tolerated by construction: the loader remembers the byte
-offset of the last record that parsed cleanly and the daemon truncates
-the file there before appending again, so a torn line can never
-concatenate with a new record.  Corruption anywhere *before* the final
-line is a different animal -- the journal is append-only, so a bad
-middle means the file is not our journal -- and raises a typed
-:class:`JournalError` instead of silently dropping work.
+journal under the log's damage rule (a damaged last line is the one
+record a ``kill -9`` can tear, and is dropped; damage before it raises
+:class:`JournalError`), reopens it from its intact prefix, seeds the
+cache from the recorded artifacts, and replays every request with no
+``done`` record through the normal batch path.  Because a compile is a
+pure function of its payload and replayed requests ride the same
+cache-key dedupe, the response set after crash + resume is
+byte-identical to an uninterrupted run -- the property
+``tests/service/test_journal.py`` checks for every pool width.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
+from .wal import WALContents, WALError, WALWriter, read_wal
 
-class JournalError(Exception):
-    """The journal file is corrupt beyond a torn final line."""
-
+#: a damaged or alien journal raises the log's own error
+JournalError = WALError
 
 #: top-level keys of each record kind, for structural validation
 _REQ_KEYS = {"j", "seq", "line"}
@@ -58,10 +49,10 @@ class JournalState:
     artifacts: list[tuple[str, dict]] = field(default_factory=list)
     #: highest seq seen (the resumed daemon numbers onward from here)
     max_seq: int = -1
-    #: byte offset just past the last cleanly-parsed record
-    clean_bytes: int = 0
     #: True when a torn (truncated) final line was discarded
     torn_tail: bool = False
+    #: the log as read; a resumed :class:`Journal` reopens from it
+    log: WALContents = field(default_factory=WALContents)
 
     def incomplete(self) -> list[tuple[int, str]]:
         """Requests accepted but never answered, in accept order."""
@@ -69,7 +60,7 @@ class JournalState:
                       if seq not in self.done)
 
 
-def _parse_record(doc: dict, lineno: int) -> None:
+def _check_record(doc: dict, lineno: int) -> None:
     kind = doc.get("j")
     if kind == "req":
         missing = _REQ_KEYS - doc.keys()
@@ -87,41 +78,11 @@ def _parse_record(doc: dict, lineno: int) -> None:
 
 
 def load_journal(path: str) -> JournalState:
-    """Read a journal back, tolerating exactly one torn final line.
-
-    A record that fails to parse is fatal (:class:`JournalError`) unless
-    it is the *last* line of the file, in which case it is the half
-    flushed victim of the crash: it is discarded, ``torn_tail`` is set,
-    and ``clean_bytes`` points at where appending may safely resume.
-    """
-    state = JournalState()
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise JournalError(f"cannot read journal {path}: {exc}") from exc
-    offset = 0
-    lines = raw.split(b"\n")
-    for lineno, blob in enumerate(lines, start=1):
-        is_last = lineno == len(lines)
-        if not blob.strip():
-            if not is_last:
-                offset += len(blob) + 1
-            continue
-        try:
-            doc = json.loads(blob.decode("utf-8"))
-            if not isinstance(doc, dict):
-                raise JournalError(
-                    f"journal line {lineno}: record must be a JSON object")
-            _parse_record(doc, lineno)
-        except (ValueError, UnicodeDecodeError) as exc:
-            # the final line has no trailing newline iff it was torn
-            # mid-write; anything earlier is real corruption
-            if is_last:
-                state.torn_tail = True
-                break
-            raise JournalError(
-                f"journal line {lineno}: not a valid record: {exc}") from exc
+    """Read a journal back: its two record kinds on top of the log."""
+    log = read_wal(path, "journal")
+    state = JournalState(torn_tail=log.torn_tail, log=log)
+    for lineno, doc in log.records:
+        _check_record(doc, lineno)
         if doc["j"] == "req":
             state.requests[doc["seq"]] = doc["line"]
         else:
@@ -129,49 +90,35 @@ def load_journal(path: str) -> JournalState:
             if doc["status"] == "ok" and doc["key"] and doc["artifact"]:
                 state.artifacts.append((doc["key"], doc["artifact"]))
         state.max_seq = max(state.max_seq, doc["seq"])
-        offset += len(blob) + (0 if is_last else 1)
-    state.clean_bytes = offset
     return state
 
 
 class Journal:
-    """Append-only writer half of the WAL.
-
-    Opened fresh (truncate) or resumed (truncate to ``clean_bytes`` of a
-    loaded state, then append).  Every record is flushed to the OS
-    before the call returns, so a ``kill -9`` can cost at most the one
-    record being written -- the torn tail the loader forgives.
-    """
+    """Append-only writer half of the journal: opened fresh, or reopened
+    from a loaded state's intact prefix.  Every record is flushed before
+    the call returns, so a ``kill -9`` can cost at most the one record
+    being written -- the torn tail the loader forgives."""
 
     def __init__(self, path: str, *, resume_from: JournalState | None = None):
         self.path = path
-        if resume_from is not None and os.path.exists(path):
-            # chop the torn tail so new records never concatenate with it
-            with open(path, "r+b") as fh:
-                fh.truncate(resume_from.clean_bytes)
-            self._fh = open(path, "a", encoding="utf-8")
-        else:
-            self._fh = open(path, "w", encoding="utf-8")
-        self.records = 0
+        self._log = WALWriter(
+            path, resume=resume_from.log if resume_from is not None else None)
 
-    def _write(self, doc: dict) -> None:
-        self._fh.write(json.dumps(doc, separators=(",", ":")))
-        self._fh.write("\n")
-        self._fh.flush()
-        self.records += 1
+    @property
+    def records(self) -> int:
+        return self._log.records
 
     def record_request(self, seq: int, line: str) -> None:
-        self._write({"j": "req", "seq": seq, "line": line.rstrip("\n")})
+        self._log.append({"j": "req", "seq": seq, "line": line.rstrip("\n")})
 
     def record_done(self, seq: int, response_id, status: str,
                     key: str | None = None,
                     artifact: dict | None = None) -> None:
-        self._write({"j": "done", "seq": seq, "id": response_id,
-                     "status": status, "key": key, "artifact": artifact})
+        self._log.append({"j": "done", "seq": seq, "id": response_id,
+                          "status": status, "key": key, "artifact": artifact})
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
+        self._log.close()
 
     def __enter__(self) -> "Journal":
         return self

@@ -30,20 +30,19 @@ campaigns can keep a crash-tolerant checkpoint (``checkpoint_path``) and
 later resume from it (``resume_path``); a resumed campaign's sorted
 result lists are identical to an uninterrupted run's, for any job count.
 
-The checkpoint is an append-only JSONL write-ahead log (v2): a header
-line pinning the campaign parameters, then one entry per finished
+The checkpoint is a write-ahead log (:mod:`repro.service.wal`, the
+format the serve journal uses too): a header record pinning the
+campaign parameters (format version 2), then one entry per finished
 program, flushed as it completes.  A ``kill -9`` can therefore tear at
-most the *final* entry -- the loader drops a torn tail and simply re-runs
-that index -- while a torn or mismatched header, or damage anywhere
-before the tail, is still rejected as a corrupt/alien checkpoint (CLI
-exit 2).  The single-document v1 format written by earlier releases is
-accepted on resume unchanged.
+most the *final* entry -- the log's damage rule drops a torn tail and
+that index simply re-runs -- while a damaged or mismatched header, or
+damage anywhere before the tail, is rejected as a corrupt/alien
+checkpoint (CLI exit 2).  This module adds only the header schema and
+the fold of entries into a report.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -185,9 +184,9 @@ def _program_metrics(index: int, program: GenProgram) -> dict:
 
 # -- checkpointing ------------------------------------------------------------
 
-#: campaign parameters every checkpoint (v2 header, v1 body) must pin,
-#: and the types it must carry them with (``bool`` is checked before
-#: ``int`` -- JSON ``true`` is not a valid program count)
+#: campaign parameters the checkpoint header must pin, and the types it
+#: must carry them with (``bool`` is checked before ``int`` -- JSON
+#: ``true`` is not a valid program count)
 _HEADER_SCHEMA: dict[str, type] = {
     "master_seed": int,
     "n": int,
@@ -196,158 +195,57 @@ _HEADER_SCHEMA: dict[str, type] = {
     "collect_metrics": bool,
 }
 
-#: a legacy v1 checkpoint is the header fields plus the result lists,
-#: all in one JSON document
-_V1_SCHEMA: dict[str, type] = {
-    **_HEADER_SCHEMA,
-    "done": list,
-    "failures": list,
-    "quarantined": list,
-    "metric_summaries": list,
-}
 
+def _load_checkpoint(path: str, header: dict):
+    """Read a checkpoint log and check it belongs to the campaign whose
+    header is ``header``: the header's version and schema, the campaign
+    parameters, and the shape of every entry."""
+    from ..service.wal import WALError, read_wal
 
-def _check_schema(path: str, state: dict, schema: dict, version: int) -> None:
-    """Reject a version-tagged document whose body is not a checkpoint
-    of that version (hand-edited, truncated-then-repaired, or from a
-    different tool)."""
-    for key, want in schema.items():
-        if key not in state:
-            raise CheckpointError(
-                f"checkpoint {path} does not match the "
-                f"v{version} schema: missing field {key!r}")
-        value = state[key]
-        bad_bool = want is int and isinstance(value, bool)
-        if bad_bool or not isinstance(value, want):
-            raise CheckpointError(
-                f"checkpoint {path} does not match the "
-                f"v{version} schema: field {key!r} should be "
-                f"{want.__name__}, got {type(value).__name__}")
-
-
-class _CheckpointWriter:
-    """The v2 checkpoint WAL: header first (atomically, with any
-    already-validated resumed entries), then O(1) appends -- one flushed
-    JSONL entry per finished program."""
-
-    def __init__(self, path: str, header: dict, entries=()):
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header) + "\n")
-            for entry in entries:
-                fh.write(json.dumps(entry) + "\n")
-        os.replace(tmp, path)
-        self._fh = open(path, "a", encoding="utf-8")
-
-    def append(self, entry: dict) -> None:
-        self._fh.write(json.dumps(entry) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
-
-
-def _entries_from_state(state: dict) -> list[dict]:
-    """Reconstruct the per-program v2 entries of a validated checkpoint
-    state (seeds the rewrite a resumed campaign starts from)."""
-    failures = {f["index"]: f for f in state["failures"]}
-    quarantined = {q["index"]: q for q in state["quarantined"]}
-    metrics = {s["index"]: s for s in state["metric_summaries"]}
-    return [{"done": index,
-             "failure": failures.get(index),
-             "quarantined": quarantined.get(index),
-             "metrics": metrics.get(index)}
-            for index in sorted(state["done"])]
-
-
-def _load_v1(path: str, text: str) -> dict:
-    """A legacy single-document checkpoint: the whole file is one JSON
-    object carrying the result lists inline."""
     try:
-        state = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
-    _check_schema(path, state, _V1_SCHEMA, 1)
-    return state
-
-
-def _load_v2(path: str, header: dict, lines: list[str]) -> dict:
-    """The JSONL WAL: validate the header, fold the entry lines.  A torn
-    *final* line (the crash the format exists for) is dropped -- its
-    index just re-runs; damage anywhere else is corruption."""
-    _check_schema(path, header, _HEADER_SCHEMA, 2)
-    while lines and not lines[-1].strip():
-        lines.pop()
-    done: set[int] = set()
-    failures: list[dict] = []
-    quarantined: list[dict] = []
-    metric_summaries: list[dict] = []
-    for pos, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if pos == len(lines) - 1:
-                break  # torn tail: that program will simply re-run
-            raise CheckpointError(
-                f"corrupt checkpoint {path}: line {pos + 2}: "
-                f"{exc.msg}") from exc
-        index = entry.get("done") if isinstance(entry, dict) else None
-        if not isinstance(index, int) or isinstance(index, bool):
-            raise CheckpointError(
-                f"checkpoint {path} does not match the v2 schema: "
-                f"line {pos + 2} is not a program entry")
-        if index in done:
-            continue
-        done.add(index)
-        if entry.get("failure") is not None:
-            failures.append(entry["failure"])
-        if entry.get("quarantined") is not None:
-            quarantined.append(entry["quarantined"])
-        if entry.get("metrics") is not None:
-            metric_summaries.append(entry["metrics"])
-    return {**{key: header[key] for key in _HEADER_SCHEMA},
-            "version": 2, "done": sorted(done), "failures": failures,
-            "quarantined": quarantined,
-            "metric_summaries": metric_summaries}
-
-
-def _load_checkpoint(path: str, *, n: int, seed: int,
-                     machines: tuple[str, ...], shrink: bool,
-                     collect_metrics: bool) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") \
-            from exc
-    first, _, _rest = text.partition("\n")
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError as exc:
-        # includes the torn-header case: a v2 WAL whose *first* line is
-        # damaged pins nothing, so nothing of it can be trusted
-        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError(
-            f"corrupt checkpoint {path}: not a JSON object")
-    version = header.get("version")
-    if version == 1:
-        state = _load_v1(path, text)
-    elif version == _CHECKPOINT_VERSION:
-        state = _load_v2(path, header, _rest.split("\n"))
-    else:
+        log = read_wal(path, "checkpoint", header=True)
+    except WALError as exc:
+        raise CheckpointError(str(exc)) from exc
+    version = log.header.get("version")
+    if version != _CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint {path} has unsupported version {version!r}")
-    expected = {"master_seed": seed, "n": n, "machines": list(machines),
-                "shrink": shrink, "collect_metrics": collect_metrics}
-    for key, want in expected.items():
-        if state.get(key) != want:
+    for key, want in _HEADER_SCHEMA.items():
+        if key not in log.header:
+            raise CheckpointError(
+                f"checkpoint {path} does not match the v{version} schema: "
+                f"missing field {key!r}")
+        value = log.header[key]
+        if (want is int and isinstance(value, bool)) \
+                or not isinstance(value, want):
+            raise CheckpointError(
+                f"checkpoint {path} does not match the v{version} schema: "
+                f"field {key!r} should be {want.__name__}, "
+                f"got {type(value).__name__}")
+    for key in _HEADER_SCHEMA:
+        if log.header[key] != header[key]:
             raise CheckpointError(
                 f"checkpoint {path} belongs to a different campaign: "
-                f"{key}={state.get(key)!r}, this campaign has {want!r}")
-    return state
+                f"{key}={log.header[key]!r}, this campaign has "
+                f"{header[key]!r}")
+    for lineno, entry in log.records:
+        index = entry.get("done")
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise CheckpointError(
+                f"checkpoint {path} does not match the v{version} schema: "
+                f"line {lineno} is not a program entry")
+    return log
+
+
+def _fold(report: FuzzReport, entry: dict) -> None:
+    """Add one checkpoint entry -- a finished program -- to ``report``."""
+    report.attempted += 1
+    if entry.get("failure") is not None:
+        report.failures.append(FuzzFailure(**entry["failure"]))
+    if entry.get("quarantined") is not None:
+        report.quarantined.append(QuarantinedProgram(**entry["quarantined"]))
+    if entry.get("metrics") is not None:
+        report.metric_summaries.append(entry["metrics"])
 
 
 # -- per-program execution ----------------------------------------------------
@@ -427,26 +325,22 @@ def fuzz(
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
     report = FuzzReport(master_seed=seed)
+    header = {"version": _CHECKPOINT_VERSION, "master_seed": seed, "n": n,
+              "machines": list(machines), "shrink": shrink,
+              "collect_metrics": collect_metrics}
     done: set[int] = set()
-    state: dict | None = None
+    log = None
     if resume_path is not None:
-        state = _load_checkpoint(resume_path, n=n, seed=seed,
-                                 machines=machines, shrink=shrink,
-                                 collect_metrics=collect_metrics)
-        done = set(state["done"])
-        report.attempted = len(done)
-        report.failures = [FuzzFailure(**f) for f in state["failures"]]
-        report.quarantined = [QuarantinedProgram(**q)
-                              for q in state["quarantined"]]
-        report.metric_summaries = list(state["metric_summaries"])
-    writer: _CheckpointWriter | None = None
+        log = _load_checkpoint(resume_path, header)
+        for _lineno, entry in log.records:
+            if entry["done"] not in done:
+                done.add(entry["done"])
+                _fold(report, entry)
+    writer = None
     if checkpoint_path is not None:
-        header = {"version": _CHECKPOINT_VERSION, "master_seed": seed,
-                  "n": n, "machines": list(machines), "shrink": shrink,
-                  "collect_metrics": collect_metrics}
-        writer = _CheckpointWriter(
-            checkpoint_path, header,
-            _entries_from_state(state) if state is not None else ())
+        from ..service.wal import WALWriter
+
+        writer = WALWriter(checkpoint_path, header=header, resume=log)
     pending = [index for index in range(n) if index not in done]
 
     completed_this_run = 0
@@ -456,22 +350,15 @@ def fuzz(
         nonlocal completed_this_run
         if error is not None:
             raise FuzzWorkerError(index, error)
-        done.add(index)
-        report.attempted += 1
+        entry = {"done": index,
+                 "failure": asdict(failure) if failure is not None else None,
+                 "quarantined": (asdict(quarantined)
+                                 if quarantined is not None else None),
+                 "metrics": summary}
+        _fold(report, entry)
         completed_this_run += 1
-        if failure is not None:
-            report.failures.append(failure)
-        if quarantined is not None:
-            report.quarantined.append(quarantined)
-        if summary is not None:
-            report.metric_summaries.append(summary)
         if writer is not None:
-            writer.append({
-                "done": index,
-                "failure": asdict(failure) if failure is not None else None,
-                "quarantined": (asdict(quarantined)
-                                if quarantined is not None else None),
-                "metrics": summary})
+            writer.append(entry)
         if on_progress is not None:
             on_progress(report.attempted, len(report.failures))
         if stop_after is not None and len(report.failures) >= stop_after:

@@ -248,11 +248,13 @@ class TestBadCheckpointResume:
         return ["fuzz", "--n", "2", "--seed", "7", "--no-shrink",
                 "--resume", str(path)]
 
-    def _good_state(self):
-        return {"version": 1, "master_seed": 7, "n": 2,
+    def _v2_header(self):
+        return {"version": 2, "master_seed": 7, "n": 2,
                 "machines": ["rs6k", "scalar", "ss2"], "shrink": False,
-                "collect_metrics": False, "done": [0, 1],
-                "failures": [], "quarantined": [], "metric_summaries": []}
+                "collect_metrics": False}
+
+    def _write_header(self, path, header):
+        path.write_text(json.dumps(header) + "\n")
 
     def _expect_one_line_error(self, capsys, *needles):
         err = capsys.readouterr().err
@@ -265,7 +267,7 @@ class TestBadCheckpointResume:
 
     def test_truncated_checkpoint(self, tmp_path, capsys):
         path = tmp_path / "campaign.json"
-        path.write_text(json.dumps(self._good_state())[:40])
+        path.write_text(json.dumps(self._v2_header())[:40])
         assert main(self._resume(path)) == 2
         self._expect_one_line_error(capsys, "corrupt checkpoint",
                                     str(path))
@@ -277,45 +279,49 @@ class TestBadCheckpointResume:
                                     str(path))
 
     def test_wrong_schema_missing_field(self, tmp_path, capsys):
-        state = self._good_state()
-        del state["done"]
+        header = self._v2_header()
+        del header["shrink"]
         path = tmp_path / "campaign.json"
-        path.write_text(json.dumps(state))
+        self._write_header(path, header)
         assert main(self._resume(path)) == 2
-        self._expect_one_line_error(capsys, "does not match the v1 schema",
-                                    "'done'")
+        self._expect_one_line_error(capsys, "does not match the v2 schema",
+                                    "'shrink'")
 
     def test_wrong_schema_bad_type(self, tmp_path, capsys):
-        state = self._good_state()
-        state["failures"] = "none"
+        header = self._v2_header()
+        header["machines"] = "rs6k"
         path = tmp_path / "campaign.json"
-        path.write_text(json.dumps(state))
+        self._write_header(path, header)
         assert main(self._resume(path)) == 2
-        self._expect_one_line_error(capsys, "does not match the v1 schema",
-                                    "'failures'", "should be list")
+        self._expect_one_line_error(capsys, "does not match the v2 schema",
+                                    "'machines'", "should be list")
 
     def test_bool_is_not_a_program_count(self, tmp_path, capsys):
-        state = self._good_state()
-        state["n"] = True
+        header = self._v2_header()
+        header["n"] = True
         path = tmp_path / "campaign.json"
-        path.write_text(json.dumps(state))
+        self._write_header(path, header)
         assert main(self._resume(path)) == 2
-        self._expect_one_line_error(capsys, "does not match the v1 schema",
+        self._expect_one_line_error(capsys, "does not match the v2 schema",
                                     "'n'", "should be int")
 
     def test_different_campaign(self, tmp_path, capsys):
-        state = self._good_state()
-        state["master_seed"] = 8
+        header = self._v2_header()
+        header["master_seed"] = 8
         path = tmp_path / "campaign.json"
-        path.write_text(json.dumps(state))
+        self._write_header(path, header)
         assert main(self._resume(path)) == 2
         self._expect_one_line_error(capsys, "different campaign",
                                     "master_seed")
 
-    def _v2_header(self):
-        return {"version": 2, "master_seed": 7, "n": 2,
-                "machines": ["rs6k", "scalar", "ss2"], "shrink": False,
-                "collect_metrics": False}
+    def test_v1_document_is_unsupported(self, tmp_path, capsys):
+        """The single-document v1 format is no longer read."""
+        state = {**self._v2_header(), "version": 1, "done": [0, 1],
+                 "failures": [], "quarantined": [], "metric_summaries": []}
+        path = tmp_path / "campaign.json"
+        path.write_text(json.dumps(state))
+        assert main(self._resume(path)) == 2
+        self._expect_one_line_error(capsys, "unsupported version 1")
 
     def test_torn_final_wal_line_is_tolerated(self, tmp_path, capsys):
         """ISSUE satellite: a v2 checkpoint whose *final* entry was torn

@@ -16,11 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.resilience import (
-    run_service_chaos,
-    run_service_chaos_case,
-    service_plan_for_seed,
-)
+from repro.resilience import plan_for_seed, run_chaos, run_service_chaos_case
 from repro.resilience.faults import SERVICE_SITES
 
 MASTER_SEED = 1991
@@ -28,13 +24,13 @@ MASTER_SEED = 1991
 
 def _seed_for_site(site: str) -> int:
     for seed in range(500):
-        if service_plan_for_seed(seed).site == site:
+        if plan_for_seed(seed, SERVICE_SITES).site == site:
             return seed
     raise AssertionError(f"no seed below 500 selects {site}")
 
 
 def test_every_service_site_is_reachable_by_some_seed():
-    assert {service_plan_for_seed(s).site for s in range(500)} \
+    assert {plan_for_seed(s, SERVICE_SITES).site for s in range(500)} \
         == set(SERVICE_SITES)
 
 
@@ -47,7 +43,7 @@ def test_one_case_per_site_holds_the_property(site):
 
 
 def test_fast_sweep_holds_the_property():
-    report = run_service_chaos(6, MASTER_SEED)
+    report = run_chaos(6, MASTER_SEED, case=run_service_chaos_case)
     assert report.ok, "\n".join(r.format() for r in report.violations)
     assert len(report.results) == 6
     assert all(r.fired for r in report.results)
@@ -58,6 +54,6 @@ def test_fast_sweep_holds_the_property():
 def test_acceptance_sweep_50_plans():
     """ISSUE 9 acceptance criterion: a seeded 50-plan sweep with zero
     hangs, miscompiles, or tracebacks."""
-    report = run_service_chaos(50, MASTER_SEED)
+    report = run_chaos(50, MASTER_SEED, case=run_service_chaos_case)
     assert report.ok, "\n".join(r.format() for r in report.violations)
     assert len(report.results) == 50

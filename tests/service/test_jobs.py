@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.resilience import watchdog
 from repro.service.jobs import (
     CRASHED,
     ERROR,
@@ -219,3 +220,19 @@ def test_kill_close_reaps_workers_respawned_during_the_close():
         assert not closer.is_alive(), "close(kill=True) hung reaping"
         assert not inner._worker_handler.is_alive()
         assert all(proc.exitcode is not None for proc in inner._pool)
+
+
+def test_kill_close_stops_the_pool_threads():
+    """``close(kill=True)`` also stops the pool's task- and result-handler
+    threads, whether or not a worker died holding a queue lock: the live
+    thread count is flat over many kill-closes."""
+    start = threading.active_count()
+    with watchdog(120.0, "50 kill-closes"):
+        for round_ in range(50):
+            pool = JobPool(_sleep_then_echo, jobs=2)
+            for index in range(2):  # jobs in flight keep the handlers busy
+                pool.submit(JobSpec(id=index, payload=30.0))
+            if round_ % 2:
+                os.kill(pool.worker_pids()[0], signal.SIGKILL)
+            pool.close(kill=True)
+    assert threading.active_count() == start

@@ -1,7 +1,8 @@
-"""Worker-crash-storm battery for :class:`repro.service.supervisor`.
+"""Worker-crash-storm battery for the supervision in
+:class:`repro.service.jobs.JobPool`.
 
-ISSUE 9 satellite: kill every worker mid-drain and the supervisor must
-rebuild the pool with no job lost or duplicated; results stay sorted and
+Kill every worker mid-drain and the pool must rebuild its workers with
+no job lost or duplicated; results stay sorted and
 byte-identical to an inline (``jobs=1``) run.  Hung jobs are parked as
 typed ``quarantined`` results, and a crash storm that keeps eating pools
 trips the circuit breaker into inline mode instead of thrashing forever.
@@ -17,8 +18,7 @@ import threading
 import time
 
 from repro.obs.metrics import MetricsCollector
-from repro.service.jobs import JobSpec
-from repro.service.supervisor import SupervisedPool, SupervisorConfig
+from repro.service.jobs import JobPool, JobSpec, SupervisorConfig
 
 _FAST = SupervisorConfig(poll_interval_s=0.02)
 
@@ -43,8 +43,8 @@ def _storm_handler(payload):
 
 
 def _run(jobs, specs, *, supervisor=_FAST, metrics=None, killer=None):
-    with SupervisedPool(_storm_handler, jobs=jobs, supervisor=supervisor,
-                        metrics=metrics) as pool:
+    with JobPool(_storm_handler, jobs=jobs, supervisor=supervisor,
+                 metrics=metrics) as pool:
         for spec in specs:
             pool.submit(spec)
         thread = None
@@ -139,7 +139,6 @@ class TestCircuitBreaker:
         specs = [JobSpec(id=0, payload=("die", os.getpid()))]
         pool, _ = _run(2, specs, supervisor=config)
         assert pool.breaker_open
-        assert not pool.supervised
         assert pool.worker_pids() == []  # no processes left to lose
         pool._closed = False  # reopen the context-managed pool for a beat
         pool.submit(JobSpec(id=9, payload=("ok", 9)))
@@ -149,12 +148,32 @@ class TestCircuitBreaker:
 
 
 class TestInertPassthrough:
-    def test_jobs_1_is_an_unsupervised_passthrough(self):
-        pool, results = _run(1, [JobSpec(id=i, payload=("ok", i))
-                                 for i in range(3)])
-        assert not pool.supervised
+    def test_jobs_1_is_an_unsupervised_passthrough(self, monkeypatch):
+        """Supervision costs nothing on an inline pool: no wait ever
+        polls, so the health check never runs, on either API."""
+        def no_beat(pool):
+            raise AssertionError("health check ran on an inline pool")
+
+        monkeypatch.setattr(JobPool, "_health_check", no_beat)
+        specs = [JobSpec(id=i, payload=("ok", i)) for i in range(3)]
+        pool, results = _run(1, specs)
         assert pool.worker_pids() == []
         assert [(r.id, r.value) for r in results] == [
             (0, 1), (1, 4), (2, 7)]
         assert pool.stats() == {"rebuilds": 0, "workers_lost": 0,
                                 "hangs": 0, "breaker_open": False}
+        with JobPool(_storm_handler, jobs=1, supervisor=_FAST) as pool:
+            streamed = sorted(pool.run(specs), key=lambda r: r.id)
+        assert [r.value for r in streamed] == [1, 4, 7]
+
+    def test_fault_free_batch_never_rebuilds(self):
+        """With nothing failing, the health checks a two-worker batch
+        runs while it waits find nothing: no rebuild, no lost worker, no
+        hang, and the answers of the inline run."""
+        specs = [JobSpec(id=i, payload=("sleep", i)) for i in range(4)]
+        pool, parallel = _run(2, specs)
+        _, inline = _run(1, specs)
+        assert pool.stats() == {"rebuilds": 0, "workers_lost": 0,
+                                "hangs": 0, "breaker_open": False}
+        assert ([(r.id, r.status, r.value) for r in parallel]
+                == [(r.id, r.status, r.value) for r in inline])

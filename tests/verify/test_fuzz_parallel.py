@@ -10,10 +10,12 @@ never hang the pool or silently drop the program.
 from __future__ import annotations
 
 import importlib
+import os
 
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.resilience import watchdog
 from repro.verify import FuzzWorkerError, fuzz
 from repro.verify.fuzz import derive_seed
 
@@ -67,6 +69,32 @@ def test_worker_crash_surfaces_as_fuzz_worker_error(monkeypatch):
              quarantine=False)
     assert excinfo.value.index == 2
     assert "injected worker crash" in excinfo.value.worker_traceback
+
+
+def test_campaign_survives_a_worker_that_dies(monkeypatch, tmp_path):
+    """A worker that exits mid-program loses that program's job; the
+    pool's supervision notices the death, rebuilds the workers and
+    re-runs the job, so the campaign finishes with the undisturbed
+    report.  The deadline turns a lost job back into a failure rather
+    than a hang."""
+    straight = fuzz(4, 1991, shrink=False)
+    marker = tmp_path / "died"
+    parent = os.getpid()
+    real_harness = fuzz_module._harness
+
+    def dies_once(master_seed, index, *rest):
+        if index == 1 and os.getpid() != parent and not marker.exists():
+            marker.touch()
+            os._exit(1)
+        return real_harness(master_seed, index, *rest)
+
+    monkeypatch.setattr(fuzz_module, "_harness", dies_once)
+    with watchdog(60.0, "fuzz campaign with a dead worker"):
+        report = fuzz(4, 1991, shrink=False, jobs=2)
+    assert marker.exists()  # the worker really died mid-program
+    assert report.attempted == straight.attempted == 4
+    assert _failure_keys(report) == _failure_keys(straight)
+    assert report.quarantined == straight.quarantined == []
 
 
 def test_serial_crash_propagates_directly(monkeypatch):

@@ -200,21 +200,6 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="corrupt checkpoint"):
             fuzz(3, CAMPAIGN_SEED, shrink=False, resume_path=str(path))
 
-    def test_v1_single_document_checkpoint_still_resumes(self, tmp_path):
-        """Checkpoints written by earlier releases load unchanged."""
-        first = fuzz(3, CAMPAIGN_SEED, shrink=False)
-        state = {"version": 1, "master_seed": CAMPAIGN_SEED, "n": 3,
-                 "machines": ["rs6k", "scalar", "ss2"], "shrink": False,
-                 "collect_metrics": False, "done": [0, 1, 2],
-                 "failures": [dataclasses.asdict(f) for f in first.failures],
-                 "quarantined": [], "metric_summaries": []}
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(state))
-        resumed = fuzz(3, CAMPAIGN_SEED, shrink=False,
-                       resume_path=str(path))
-        assert resumed.attempted == 3
-        assert _keys(resumed) == _keys(first)
-
     def test_quarantined_results_survive_the_checkpoint(self, tmp_path,
                                                         monkeypatch):
         boom_seed = derive_seed(CAMPAIGN_SEED, 0)
