@@ -248,11 +248,26 @@ def compile_c(
         config = PipelineConfig(level=level)
     elif config.level is not level:
         raise ValueError("config.level disagrees with the level argument")
-    program = parse_c(source)
+    return schedule_lowered(lower_source(source), machine, config)
+
+
+def lower_source(source: str) -> dict[str, CompiledFunction]:
+    """The front half of :func:`compile_c`: parse and lower every function
+    of ``source``, in program order."""
+    return lower_program(parse_c(source))
+
+
+def schedule_lowered(lowered: dict[str, CompiledFunction],
+                     machine: MachineModel,
+                     config: PipelineConfig) -> CompileResult:
+    """The back half of :func:`compile_c`: run the pipeline over every
+    lowered function, rewriting each ``func`` in place.  A caller that
+    schedules one lowering several times passes uid-preserving
+    :meth:`Function.clone` copies."""
     units: dict[str, CompiledUnit] = {}
-    for name, compiled in lower_program(program).items():
+    for name, compiled in lowered.items():
         report = optimize(compiled.func, machine, config,
                           live_at_exit=compiled.live_at_exit)
         units[name] = CompiledUnit(compiled=compiled, machine=machine,
                                    report=report)
-    return CompileResult(units=units, level=level, machine=machine)
+    return CompileResult(units=units, level=config.level, machine=machine)

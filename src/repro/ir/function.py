@@ -33,7 +33,8 @@ class Function:
         self.blocks: list[BasicBlock] = []
         self._labels: dict[str, BasicBlock] = {}
         self._next_uid = 1
-        self._next_reg = {rc: 0 for rc in RegClass}
+        #: next free symbolic register number, by ``RegClass.index``
+        self._next_reg = [0] * len(RegClass)
         self._next_label = 0
 
     # -- block management --------------------------------------------------
@@ -109,15 +110,17 @@ class Function:
 
     def note_registers(self, ins: Instruction) -> None:
         """Advance the symbolic-register counters past ``ins``'s operands."""
+        next_reg = self._next_reg
         for reg in (*ins.defs, *ins.uses):
-            nxt = self._next_reg[reg.rclass]
-            if reg.index >= nxt:
-                self._next_reg[reg.rclass] = reg.index + 1
+            slot = reg.rclass.index
+            if reg.index >= next_reg[slot]:
+                next_reg[slot] = reg.index + 1
 
     def new_reg(self, rclass: RegClass) -> Reg:
         """A fresh symbolic register of class ``rclass``."""
-        reg = Reg(rclass, self._next_reg[rclass])
-        self._next_reg[rclass] += 1
+        slot = rclass.index
+        reg = Reg(rclass, self._next_reg[slot])
+        self._next_reg[slot] += 1
         return reg
 
     def new_gpr(self) -> Reg:
@@ -206,7 +209,7 @@ class Function:
         """
         out = Function(self.name)
         out._next_uid = self._next_uid
-        out._next_reg = dict(self._next_reg)
+        out._next_reg = list(self._next_reg)
         out._next_label = self._next_label
         for block in self.blocks:
             copy = out.add_block(block.label)

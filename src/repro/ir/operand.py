@@ -33,8 +33,17 @@ class RegClass(Enum):
     CR = "cr"
     CTR = "ctr"
 
+    #: position in declaration order: a list index, so per-class counters
+    #: never hash the member (``Enum.__hash__`` is Python code)
+    index: int
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RegClass.{self.name}"
+
+
+for _index, _rclass in enumerate(RegClass):
+    _rclass.index = _index
+del _index, _rclass
 
 
 #: Condition-register bit masks, matching the paper's ``0x1/lt`` notation.

@@ -47,32 +47,36 @@ _NEED_IMM = 32     # immediate-form ops carry their immediate
 _LOAD_DEFS = 64    # loads define at least one register
 _CALL_NAME = 128   # CALL names its callee
 
-_RULES: dict[Opcode, int] = {}
-for _op in Opcode:
-    _f = 0
-    if _op.is_load or _op.is_store:
-        _f |= _MEM_OP
-    if _op in (Opcode.BT, Opcode.BF):
-        _f |= _TEST_CR | _NEED_TARGET
-    if _op in (Opcode.B, Opcode.BDNZ):
-        _f |= _NEED_TARGET
-    if _op.is_compare:
-        _f |= _DEF_CR
-    if _op in (Opcode.L, Opcode.LU, Opcode.ST, Opcode.STU):
-        _f |= _FIXED_MEM
-    if _op in (Opcode.LI, Opcode.AI, Opcode.SI, Opcode.ANDI, Opcode.ORI,
-               Opcode.XORI, Opcode.SL, Opcode.SR, Opcode.SRA, Opcode.CI):
-        _f |= _NEED_IMM
-    if _op.is_load:
-        _f |= _LOAD_DEFS
-    if _op is Opcode.CALL:
-        _f |= _CALL_NAME
-    _RULES[_op] = _f
-del _op, _f
+
+def _rule(op: Opcode) -> int:
+    flags = 0
+    if op.is_load or op.is_store:
+        flags |= _MEM_OP
+    if op in (Opcode.BT, Opcode.BF):
+        flags |= _TEST_CR | _NEED_TARGET
+    if op in (Opcode.B, Opcode.BDNZ):
+        flags |= _NEED_TARGET
+    if op.is_compare:
+        flags |= _DEF_CR
+    if op in (Opcode.L, Opcode.LU, Opcode.ST, Opcode.STU):
+        flags |= _FIXED_MEM
+    if op in (Opcode.LI, Opcode.AI, Opcode.SI, Opcode.ANDI, Opcode.ORI,
+              Opcode.XORI, Opcode.SL, Opcode.SR, Opcode.SRA, Opcode.CI):
+        flags |= _NEED_IMM
+    if op.is_load:
+        flags |= _LOAD_DEFS
+    if op is Opcode.CALL:
+        flags |= _CALL_NAME
+    return flags
+
+
+#: indexed by ``Opcode.index``: keyed by the member, every lookup would run
+#: ``Enum.__hash__`` (Python code)
+_RULES: tuple[int, ...] = tuple(_rule(op) for op in Opcode)
 
 
 def _verify_instruction(ins, where: str) -> None:
-    flags = _RULES[ins.opcode]
+    flags = _RULES[ins.opcode.index]
     if not flags:
         # plain computation op: only the no-memory-operand rule applies
         if ins.mem is not None:

@@ -8,6 +8,12 @@ program is compiled at every :class:`ScheduleLevel` on every machine
 variant with the pipeline's self-checking mode on, so a run also fails if
 any emitted schedule is rejected by the static verifier.
 
+The front end runs once per program: the source is parsed and lowered
+once, and every combination schedules its own uid-preserving
+:meth:`~repro.ir.Function.clone` of each lowered function.  A source the
+front end rejects fails all combinations with the same ``compilation
+crashed`` line.
+
 Timing is *not* part of the oracle (different machines time differently by
 design), but per-combination cycle counts are collected for the
 monotonicity property tests -- and every cycle count is cross-checked
@@ -18,9 +24,11 @@ tolerance, fails the combo just like a wrong answer would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from ..compiler import compile_c
+# the runner calls the two halves of ``compile_c``; the name itself stays
+# importable from here, where perfbench's traced runs wrap whole compiles
+from ..compiler import compile_c, lower_source, schedule_lowered  # noqa: F401
 from ..machine.configs import CONFIGS
 from ..sched.candidates import ScheduleLevel
 from ..sim.bsp import check_bsp
@@ -88,7 +96,10 @@ def run_differential(
     compare every observation against the (first machine, NONE) baseline.
     """
     result = DiffResult(program=program)
-    source = program.source
+    try:
+        lowered, front_error = lower_source(program.source), None
+    except Exception as exc:
+        lowered, front_error = {}, exc
     for machine_name in machines:
         machine_factory = CONFIGS[machine_name]
         for level in _LEVELS:
@@ -96,11 +107,13 @@ def run_differential(
             result.combos.append(combo)
             tag = f"{machine_name}/{level.value}"
             try:
-                unit = compile_c(
-                    source,
-                    machine=machine_factory(),
-                    level=level,
-                    config=PipelineConfig(level=level, verify=verify),
+                if front_error is not None:
+                    raise front_error
+                unit = schedule_lowered(
+                    {name: replace(compiled, func=compiled.func.clone())
+                     for name, compiled in lowered.items()},
+                    machine_factory(),
+                    PipelineConfig(level=level, verify=verify),
                 )
             except ScheduleVerificationError as exc:
                 combo.error = f"verifier: {exc}"

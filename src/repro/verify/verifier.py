@@ -18,9 +18,21 @@ paper allows:
   pre-scheduling data dependence graph (built un-reduced, so no edge is
   hidden by transitivity) still runs source-before-destination: same block
   implies earlier index, different blocks imply forward-graph
-  reachability.  Edges legitimately dissolved by the scheduler's on-demand
-  renaming (Section 4.2) are recognised from the after-side operands and
-  skipped;
+  reachability.  An edge to or from a collapsed inner loop is judged at
+  the loop's pseudo-block (its abstract node in the forward graph), so
+  code cannot cross an inner loop it depends on.  Edges legitimately
+  dissolved by the scheduler's on-demand renaming (Section 4.2) are
+  recognised from the after-side operands and skipped (an inner loop
+  keeps its barrier's operands, a conservative summary).  Only what the
+  sweep changed is judged.  A region none of whose blocks changed its
+  uid order is skipped: each of its intra-block edges still runs forward
+  in the original order, and each cross-block edge still joins a pair
+  that was forward-reachable when the edge was drawn.  A local sweep
+  (``ScheduleLevel.NONE``, no motions, every instruction in its home
+  block) is judged block by block from each block's own DDG, without
+  any region: with no instruction changing blocks, only intra-block
+  edges can break, and a region DDG's intra-block edges are exactly its
+  blocks' DDGs;
 * **speculation** -- replaying the recorded motions in issue order against
   a fresh :class:`~repro.sched.speculation.LiveOnExitTracker` (seeded from
   the snapshot's liveness solution, exactly like the scheduling driver),
@@ -40,6 +52,7 @@ from dataclasses import dataclass, field
 
 from ..cfg.graph import ControlFlowGraph
 from ..dataflow.liveness import compute_liveness
+from ..ir.basic_block import BasicBlock
 from ..ir.function import Function
 from ..ir.instruction import Instruction
 from ..ir.operand import Reg
@@ -84,6 +97,7 @@ class VerifyReport:
     issues: list[VerifyIssue] = field(default_factory=list)
     checked_edges: int = 0
     checked_motions: int = 0
+    #: regions whose dependences were judged: those with a changed block
     checked_regions: int = 0
 
     @property
@@ -215,6 +229,14 @@ def verify_schedule(
     if not report.ok:
         return _finish(report, raise_on_error)
 
+    if (level is ScheduleLevel.NONE and not motions
+            and all(after_at[uid].label == placed.label
+                    for uid, placed in before_at.items())):
+        # a local sweep: nothing to place or replay, and only intra-block
+        # dependences can break
+        _check_blocks(report, before.blocks, machine, after_at)
+        return _finish(report, raise_on_error)
+
     # -- per-region placement + dependence checks ------------------------
     regions = find_regions(before)
     region_of: dict[str, RegionSpec] = {}
@@ -240,10 +262,11 @@ def verify_schedule(
     _check_placement(report, before, before_at, after_at, dup_uids,
                      region_of, pdg_of, level, max_speculation,
                      motions, allow_duplication)
-    covered = _check_dependences(report, regions, pdg_of, after_at,
-                                 before_at)
-    _check_stray_blocks(report, before, machine, after_at, covered)
-    report.checked_regions = len(regions)
+    _check_dependences(report, regions, _changed_labels(before, after),
+                       pdg_of, after_at)
+    _check_blocks(report,
+                  [b for b in before.blocks if b.label not in region_of],
+                  machine, after_at)
 
     # -- speculation replay ---------------------------------------------
     _replay_motions(report, before, after_at, motions, region_of, pdg_of,
@@ -387,72 +410,80 @@ def _check_placement(
                    f"speculative placement at level {level.value}", uid)
 
 
+def _changed_labels(before: Function, after: Function) -> set[str]:
+    """Labels of the blocks whose uid order the sweep changed (the two
+    layouts are equal by the time this runs)."""
+    return {b.label for b, a in zip(before.blocks, after.blocks)
+            if [i.uid for i in b.instrs] != [i.uid for i in a.instrs]}
+
+
 def _check_dependences(
     report: VerifyReport,
     regions: list[RegionSpec],
+    changed: set[str],
     pdg_of,
     after_at: dict[int, _Placed],
-    before_at: dict[int, _Placed],
-) -> set[str]:
-    """Every pre-scheduling dependence still runs forward.  Returns the
-    labels whose intra-block dependences were covered by a region DDG."""
-    covered: set[str] = set()
+) -> None:
+    """Every pre-scheduling dependence of a region with a changed block
+    still runs forward.  A collapsed inner loop stands at its pseudo-block
+    and is matched by identity: its barrier's uid was drawn from
+    ``before``'s counter and may name a copy the sweep added."""
     for spec in regions:
+        if changed.isdisjoint(spec.member_labels):
+            continue  # nothing in it moved, so no edge of it can break
+        report.checked_regions += 1
         pdg = pdg_of(spec)
-        covered.update(spec.member_labels)
-        barrier_ids = {id(s.barrier) for s in pdg.subloops}
+        loops = {id(sub.barrier): _Placed(sub.barrier,
+                                          sub.pseudo_block.label, 0)
+                 for sub in pdg.subloops}
         for edge in pdg.ddg.edges():
-            if id(edge.src) in barrier_ids or id(edge.dst) in barrier_ids:
-                continue  # abstract inner-loop summaries have no after-side
-            report.checked_edges += 1
-            a = after_at.get(edge.src.uid)
-            b = after_at.get(edge.dst.uid)
-            if a is None or b is None:
-                continue  # conservation already reported it
-            if _edge_dissolved(edge, a.ins, b.ins):
-                continue
-            if a.label == b.label:
-                if a.index >= b.index:
-                    report.add("dependence",
-                               f"{edge!r} inverted inside {a.label}: "
-                               f"I{edge.src.uid} at index {a.index} is not "
-                               f"before I{edge.dst.uid} at {b.index}",
-                               edge.dst.uid)
-            elif (a.label, b.label) not in pdg.reachable_pairs:
-                report.add("dependence",
-                           f"{edge!r} broken across blocks: I{edge.src.uid} "
-                           f"in {a.label} no longer executes before "
-                           f"I{edge.dst.uid} in {b.label}", edge.dst.uid)
-    return covered
+            a = loops.get(id(edge.src)) or after_at.get(edge.src.uid)
+            b = loops.get(id(edge.dst)) or after_at.get(edge.dst.uid)
+            _judge(report, edge, a, b, pdg.reachable_pairs)
 
 
-def _check_stray_blocks(
+def _check_blocks(
     report: VerifyReport,
-    before: Function,
+    blocks: list[BasicBlock],
     machine: MachineModel,
     after_at: dict[int, _Placed],
-    covered: set[str],
 ) -> None:
-    """Intra-block dependence check for blocks outside every region
-    (unreachable code still gets the post-pass block scheduler)."""
+    """Intra-block dependence check from each block's own DDG: every block
+    of a local sweep, and blocks outside every region (unreachable code
+    still gets the post-pass block scheduler)."""
     from ..pdg.data_deps import build_block_ddg
 
-    for block in before.blocks:
-        if block.label in covered:
-            continue
-        ddg = build_block_ddg(block, machine, reduce=False)
-        for edge in ddg.edges():
-            report.checked_edges += 1
-            a = after_at.get(edge.src.uid)
-            b = after_at.get(edge.dst.uid)
-            if a is None or b is None:
-                continue
-            if _edge_dissolved(edge, a.ins, b.ins):
-                continue
-            if a.label != b.label or a.index >= b.index:
-                report.add("dependence",
-                           f"{edge!r} violated in stray block "
-                           f"{block.label}", edge.dst.uid)
+    for block in blocks:
+        for edge in build_block_ddg(block, machine, reduce=False).edges():
+            _judge(report, edge, after_at.get(edge.src.uid),
+                   after_at.get(edge.dst.uid), frozenset())
+
+
+def _judge(
+    report: VerifyReport,
+    edge: DepEdge,
+    a: _Placed | None,
+    b: _Placed | None,
+    reachable_pairs,
+) -> None:
+    """Report ``edge`` unless the schedule still runs it forward."""
+    report.checked_edges += 1
+    if a is None or b is None:
+        return  # conservation already reported it
+    if _edge_dissolved(edge, a.ins, b.ins):
+        return
+    if a.label == b.label:
+        if a.index >= b.index:
+            report.add("dependence",
+                       f"{edge!r} inverted inside {a.label}: "
+                       f"I{edge.src.uid} at index {a.index} is not "
+                       f"before I{edge.dst.uid} at {b.index}",
+                       edge.dst.uid)
+    elif (a.label, b.label) not in reachable_pairs:
+        report.add("dependence",
+                   f"{edge!r} broken across blocks: I{edge.src.uid} "
+                   f"in {a.label} no longer executes before "
+                   f"I{edge.dst.uid} in {b.label}", edge.dst.uid)
 
 
 def _replay_motions(

@@ -103,3 +103,61 @@ def test_combo_result_observation_tuple():
     combo = ComboResult(machine="rs6k", level=ScheduleLevel.NONE,
                         return_value=4, arrays=[[1]], calls=[("f", (2,))])
     assert combo.observation == (4, [[1]], [("f", (2,))])
+
+
+# -- the front end runs once per program
+
+
+def test_front_end_runs_once_per_program(monkeypatch):
+    import repro.compiler as compiler
+
+    calls = {"parse_c": 0, "lower_program": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(compiler, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(compiler, name, counted)
+    result = run_differential(generate_program(3))
+    assert result.ok, result.format_failures()
+    assert len(result.combos) == 9
+    assert calls == {"parse_c": 1, "lower_program": 1}
+
+
+def test_each_combo_schedules_what_compile_c_would(monkeypatch):
+    import repro.verify.differential as differential
+    from repro.compiler import compile_c
+    from repro.machine.configs import CONFIGS
+    from repro.xform.pipeline import PipelineConfig
+
+    program = generate_program(derive_seed(1991, 3))  # loops, two functions
+    real = differential.schedule_lowered
+    compiled = []
+
+    def spy(lowered, machine, config):
+        compiled.append(real(lowered, machine, config))
+        return compiled[-1]
+
+    monkeypatch.setattr(differential, "schedule_lowered", spy)
+    result = run_differential(program)
+    assert result.ok, result.format_failures()
+    assert len(compiled) == len(result.combos) == 9
+    for combo, unit in zip(result.combos, compiled):
+        level = combo.level
+        fresh = compile_c(program.source, machine=CONFIGS[combo.machine](),
+                          level=level,
+                          config=PipelineConfig(level=level, verify=True))
+        assert ({name: u.assembly() for name, u in unit.units.items()}
+                == {name: u.assembly() for name, u in fresh.units.items()})
+
+
+def test_rejected_source_fails_every_combo_as_compile_c_did():
+    program = _tiny_program(["int v1 = a0 + ;"], ret="return v1;")
+    result = run_differential(program)
+    error = "CParseError(\"line 3: expected an expression (at ';')\")"
+    assert result.failures == [
+        f"[{machine}/{level}] compilation crashed: {error}"
+        for machine in ("rs6k", "scalar", "ss2")
+        for level in ("none", "useful", "speculative")
+    ]
+    assert [c.error for c in result.combos] == [f"compile: {error}"] * 9

@@ -188,3 +188,145 @@ def test_mutated_dominance_rule_is_caught(monkeypatch):
     with pytest.raises(ScheduleVerificationError):
         compile_c(DISJUNCTION, level=ScheduleLevel.SPECULATIVE,
                   config=verified_config(ScheduleLevel.SPECULATIVE))
+
+
+# -- dependences through a collapsed inner loop
+
+LOOP_THEN_USE = """
+int f(int n, int p[]) {
+    int s = 0;
+    int i = 0;
+    while (i < n) { s = s + p[i]; i = i + 1; }
+    int t = s * 3;
+    return t;
+}
+"""
+
+
+def test_hoist_across_an_inner_loop_it_depends_on_is_reported():
+    """The loop exit is equivalent to the entry, so hoisting its code is a
+    legal useful placement -- but the MUL reads the sum the loop computes.
+    Edges to the loop's barrier must be judged at its pseudo-block."""
+    unit = compile_c(LOOP_THEN_USE, level=ScheduleLevel.NONE)["f"]
+    func = unit.func
+    before = func.clone()
+    exit_block = next(b for b in func.blocks
+                      if b.terminator is not None
+                      and b.terminator.opcode.mnemonic == "RET")
+    hoisted = exit_block.body
+    assert [i.opcode.mnemonic for i in hoisted] == ["LI", "MUL"]
+    for ins in hoisted:
+        exit_block.remove(ins)
+        func.entry.insert_before_terminator(ins)
+    assert unit.run(3, [1, 2, 3]).return_value == 0  # was (1+2+3)*3
+    report = verify_schedule(before, func, rs6k(),
+                             level=ScheduleLevel.USEFUL,
+                             raise_on_error=False)
+    mul = hoisted[1]
+    assert any(i.kind == "dependence" and i.uid == mul.uid
+               and "<loop" in i.message for i in report.issues)
+
+
+# -- the verifier judges only what a sweep changed
+
+
+def _sweeps(source, level, monkeypatch):
+    """(before, after, kwargs) of every verified sweep of one compile,
+    both sides cloned as the pipeline handed them over."""
+    import repro.verify.verifier as verifier
+
+    real = verifier.verify_schedule
+    sweeps = []
+
+    def spy(before, after, machine, **kwargs):
+        sweeps.append((before.clone(), after.clone(), kwargs))
+        return real(before, after, machine, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier, "verify_schedule", spy)
+        compile_c(source, level=level, config=verified_config(level))
+    return sweeps
+
+
+def _changed(before, after):
+    return {b.label for b, a in zip(before.blocks, after.blocks)
+            if [i.uid for i in b.instrs] != [i.uid for i in a.instrs]}
+
+
+def test_local_sweep_needs_no_region(monkeypatch):
+    """A bb-post sweep is judged block by block: no region, no PDG."""
+    import repro.verify.verifier as verifier
+
+    def no_regions(*args, **kwargs):
+        raise AssertionError("a local sweep built a region")
+
+    monkeypatch.setattr(verifier, "find_regions", no_regions)
+    monkeypatch.setattr(verifier, "build_region_pdg", no_regions)
+    result = compile_c(MINMAX_C, level=ScheduleLevel.NONE,
+                       config=verified_config(ScheduleLevel.NONE))
+    reports = [r for unit in result for r in unit.report.verify_reports]
+    assert reports
+    for report in reports:
+        assert report.ok
+        assert report.checked_edges > 0
+        assert report.checked_regions == 0
+
+
+def test_global_sweep_builds_only_changed_regions(monkeypatch):
+    import repro.verify.verifier as verifier
+    from repro.sched.regions import find_regions
+
+    sweeps = _sweeps(MINMAX_C, ScheduleLevel.USEFUL, monkeypatch)
+    global_sweeps = [s for s in sweeps
+                     if s[2]["level"] is ScheduleLevel.USEFUL]
+    assert len(global_sweeps) == 2
+    real_build = verifier.build_region_pdg
+    skipped = 0
+    for before, after, kwargs in global_sweeps:
+        built = []
+
+        def spy(func, machine, spec, **kw):
+            built.append(spec.header_node)
+            return real_build(func, machine, spec, **kw)
+
+        changed = _changed(before, after)
+        regions = find_regions(before)
+        expected = {spec.header_node for spec in regions
+                    if changed & set(spec.member_labels)}
+        with monkeypatch.context() as patch:
+            patch.setattr(verifier, "build_region_pdg", spy)
+            report = verify_schedule(before, after, rs6k(), **kwargs)
+        assert report.ok
+        assert sorted(built) == sorted(expected)
+        assert report.checked_regions == len(expected)
+        skipped += len(regions) - len(expected)
+    assert skipped > 0, "every sweep touched every region"
+
+
+def test_inversion_in_a_region_the_sweep_left_alone_is_reported(
+        monkeypatch):
+    """Pass 1 schedules only the inner loop; a dependence inverted by hand
+    in the untouched body region must still be caught."""
+    from repro.sched.regions import find_regions
+
+    before, after, kwargs = next(
+        s for s in _sweeps(MINMAX_C, ScheduleLevel.USEFUL, monkeypatch)
+        if s[2]["level"] is ScheduleLevel.USEFUL)
+    body = next(spec for spec in find_regions(before) if spec.kind == "body")
+    assert not _changed(before, after) & set(body.member_labels)
+    for label in body.member_labels:
+        block = after.block(label)
+        instrs = block.body
+        pair = next(((a, b) for a, b in zip(instrs, instrs[1:])
+                     if set(a.reg_defs()) & set(b.reg_uses())), None)
+        if pair is not None:
+            break
+    else:
+        pytest.fail("no adjacent flow-dependent pair in the body region")
+    a, b = pair
+    i = block.index_of(a)
+    block.instrs[i], block.instrs[i + 1] = b, a
+    report = verify_schedule(before, after, rs6k(),
+                             **dict(kwargs, raise_on_error=False))
+    assert any(i.kind == "dependence" and i.uid == b.uid
+               for i in report.issues)
