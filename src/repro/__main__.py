@@ -11,7 +11,7 @@ Commands:
 * ``figures`` -- regenerate the paper's Figure 7/8 tables;
 * ``scorecard`` -- regenerate the Figure-8-style ``program x machine x
   level`` matrix across the whole machine zoo, with the static verifier,
-  the event-vs-scan engine diff and the BSP cost cross-check run on every
+  the Section 5.2 order check and the BSP cost cross-check run on every
   cell (``--out matrix.json`` writes the deterministic JSON artifact);
 * ``verify FILE.c`` -- compile with the static schedule verifier enabled
   and report every sweep's verification result;

@@ -4,13 +4,13 @@ The paper evaluates one machine (the RS/6000).  The scorecard regenerates
 a Figure-8-style matrix over *every* machine in the zoo: for each
 ``program x machine x level`` cell it
 
-* compiles with the pipeline's self-checking mode on, so the PR-1 static
-  verifier has accepted every emitted schedule;
+* compiles once, traced and with the pipeline's self-checking mode on,
+  so the static verifier has accepted every emitted schedule and the
+  order checker (:mod:`repro.verify.order`) has replayed every global
+  sweep's decisions against the Section 5.2 order;
 * runs on fixed per-program inputs (same seed across all machines and
   levels) and checks the return value against the workload's Python
   oracle;
-* recompiles on the preserved scan-driven scheduler engine and diffs the
-  emitted assembly byte-for-byte against the event-driven engine;
 * cross-checks the simulated cycle count against the BSP DAG cost model
   (:mod:`repro.sim.bsp`): beating the lower bound or drifting beyond the
   documented tolerance fails the cell.
@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 from ..compiler import compile_c
 from ..machine.configs import CONFIGS, ZOO
+from ..obs.tracer import CollectingTracer
 from ..sched.candidates import ScheduleLevel
-from ..sched.reference import scan_scheduler
 from ..sim.bsp import check_bsp
 from ..verify.verifier import ScheduleVerificationError
 from ..xform.pipeline import PipelineConfig
@@ -61,8 +61,8 @@ class ScorecardCell:
     bsp_estimate: int = 0
     #: static verifier accepted every emitted schedule
     verified: bool = False
-    #: event- and scan-engine assembly is byte-identical
-    engines_agree: bool = False
+    #: every global sweep kept the Section 5.2 decision order
+    order_ok: bool = False
     #: return value matches the workload's Python oracle
     oracle_ok: bool = False
     #: cycles within [BSP lower bound, documented drift tolerance]
@@ -84,7 +84,7 @@ class ScorecardCell:
             "bsp_lower_bound": self.bsp_lower_bound,
             "bsp_estimate": self.bsp_estimate,
             "verified": self.verified,
-            "engines_agree": self.engines_agree,
+            "order_ok": self.order_ok,
             "oracle_ok": self.oracle_ok,
             "bsp_ok": self.bsp_ok,
             "failures": list(self.failures),
@@ -135,36 +135,24 @@ class Scorecard:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _assembly_map(result) -> dict[str, str]:
-    return {unit.name: unit.assembly() for unit in result}
-
-
 def _measure_cell(workload: Workload, machine_name: str,
                   level: ScheduleLevel, args: tuple) -> ScorecardCell:
     cell = ScorecardCell(program=workload.name, machine=machine_name,
                          level=level.value)
     machine = CONFIGS[machine_name]()
-    config = PipelineConfig(level=level, verify=True)
+    # traced as well as verified, so the order check runs on every sweep
+    config = PipelineConfig(level=level, verify=True,
+                            trace=CollectingTracer())
     try:
         unit = compile_c(workload.source, machine=machine, level=level,
                          config=config)
-        cell.verified = True
     except ScheduleVerificationError as exc:
-        cell.failures.append(f"schedule rejected by verifier: {exc}")
+        # the order check runs after the verifier accepted the sweep
+        cell.verified = all(i.kind == "order" for i in exc.report.issues)
+        judge = "order check" if cell.verified else "verifier"
+        cell.failures.append(f"schedule rejected by {judge}: {exc}")
         return cell
-
-    with scan_scheduler():
-        scan_unit = compile_c(workload.source, machine=machine, level=level,
-                              config=config)
-    event_asm, scan_asm = _assembly_map(unit), _assembly_map(scan_unit)
-    if event_asm == scan_asm:
-        cell.engines_agree = True
-    else:
-        diverged = sorted(name for name in event_asm
-                          if event_asm[name] != scan_asm.get(name))
-        cell.failures.append(
-            f"event and scan engines emitted different assembly for "
-            f"{diverged}")
+    cell.verified = cell.order_ok = True
 
     call_args = tuple(list(a) if isinstance(a, list) else a for a in args)
     run = unit[workload.entry].run(*call_args,

@@ -18,10 +18,9 @@ CHK is designed for exactly the dense form used here: nodes are interned
 to their reverse-postorder index once, predecessor lists become flat int
 rows, and the idom/depth relations are int lists indexed by RPO position
 -- the two-finger ``intersect`` walk then compares machine ints instead
-of hashing node objects.  The
-seed dict-based implementation is preserved verbatim as
-:class:`repro.cfg.reference.DominatorTreeReference` (the equivalence
-oracle and measured baseline).
+of hashing node objects.  ``tests/dataflow/test_dense_equivalence.py``
+holds the tree to Definition 1 itself: ``d`` dominates ``n`` iff ``n`` is
+unreachable from the root once ``d`` is removed.
 """
 
 from __future__ import annotations
@@ -145,14 +144,9 @@ class DominatorTree:
         return out
 
 
-#: Implementation selected by the constructors below; the reference
-#: context managers patch this to the seed class.
-_IMPL = DominatorTree
-
-
 def dominator_tree(graph: Digraph, entry: Node) -> DominatorTree:
     """Dominator tree of ``graph`` rooted at ``entry``."""
-    return _IMPL(graph, entry)
+    return DominatorTree(graph, entry)
 
 
 def postdominator_tree(graph: Digraph, exit_node: Node) -> DominatorTree:
@@ -160,4 +154,4 @@ def postdominator_tree(graph: Digraph, exit_node: Node) -> DominatorTree:
 
     ``tree.dominates(b, a)`` then answers "``b`` postdominates ``a``".
     """
-    return _IMPL(graph.reversed(), exit_node)
+    return DominatorTree(graph.reversed(), exit_node)

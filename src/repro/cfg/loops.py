@@ -15,8 +15,10 @@ is reducible iff deleting all back edges leaves an acyclic graph.
 Like the dominator tree, the detectors run dense: nodes are interned to
 int indices once, loop bodies accumulate as int bitmasks (one OR per
 merged back edge) and the reducibility DFS walks flattened int successor
-rows instead of copying the graph.  The seed set-per-loop implementations
-are preserved in :mod:`repro.cfg.reference` as the equivalence oracles.
+rows instead of copying the graph.
+``tests/dataflow/test_dense_equivalence.py`` checks each loop against the
+natural loop of its back edges, and reducibility against the definition
+above.
 """
 
 from __future__ import annotations
@@ -88,17 +90,11 @@ def natural_loop(graph: Digraph, latch: Node, header: Node) -> set[Node]:
 def is_reducible(graph: Digraph, dom: DominatorTree) -> bool:
     """Is the graph reducible (all cycles entered through their headers)?
 
-    Equivalent to the seed's copy-the-graph-and-toposort
-    (:func:`repro.cfg.reference.is_reducible_reference`): drop every back
-    edge, then look for a retreating edge w.r.t. a DFS reverse postorder
-    from the root -- one exists iff a cycle survived.  Runs on int
-    successor rows; only dense dominator trees carry the arrays, so a
-    reference tree (from the oracle context managers) takes the seed path.
+    Drop every back edge, then look for a retreating edge w.r.t. a DFS
+    reverse postorder from the root -- one exists iff a cycle survived.
+    Runs on the dominator tree's int rows.
     """
-    idom = getattr(dom, "_idom_arr", None)
-    if idom is None:
-        from .reference import is_reducible_reference
-        return is_reducible_reference(graph, dom)
+    idom = dom._idom_arr
     index = dom._index
     depth = dom._depth_arr
     rpo = dom._rpo

@@ -1,7 +1,7 @@
 """Dataflow analyses: liveness (live-on-exit)."""
 
 from .cache import AnalysisCache
-from .engine import solve_backward
+from .engine import solve_backward_masks
 from .liveness import LivenessInfo, block_use_def, compute_liveness
 
 __all__ = [
@@ -9,5 +9,5 @@ __all__ = [
     "LivenessInfo",
     "block_use_def",
     "compute_liveness",
-    "solve_backward",
+    "solve_backward_masks",
 ]

@@ -16,8 +16,9 @@ with the scheduler's live-on-exit tracker), blocks are int indices into a
 :class:`repro.cfg.dense.DenseCFG` snapshot, and the fixed point runs on
 int masks in :func:`repro.dataflow.engine.solve_backward_masks`.  Query
 results materialize back to ``frozenset[Reg]`` lazily and are memoised.
-The seed frozenset implementation is preserved as
-:class:`repro.dataflow.reference.LivenessInfoReference`.
+``tests/dataflow/test_dense_equivalence.py`` holds the solution to its
+definition: a register is live out of a block iff some path from there
+reaches a use of it before any definition.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class LivenessInfo:
         # (gen/kill 0 make its transfer the identity, and having no
         # successors it holds ``live_at_exit``), so blocks with an edge
         # to EXIT receive the function-exit set through it.  ENTRY stays
-        # inactive, exactly like the seed's induced subgraph.
+        # inactive: the solve covers the induced subgraph of the blocks.
         exit_idx = dense.index[self.cfg.exit]
         nodes = dense.block_indices()
         nodes.append(exit_idx)

@@ -19,9 +19,9 @@ The interblock pass summarises each block's defs/uses/memory traffic
 *once* and merges the summaries of a block's forward-reachable
 predecessors along the region's topological order, so each block's
 instructions are scanned O(1) times instead of once per reachable pair
-(the paper reports negligible compile-time cost for this phase; the seed
-implementation re-scanned the earlier block of every pair and is kept in
-:mod:`repro.pdg.reference` for differential testing).
+(the paper reports negligible compile-time cost for this phase).
+``tests/pdg/test_ddg_by_definition.py`` checks the builder and the
+reduction together against brute-force pairwise conflicts.
 
 The paper avoids materialising transitive edges; we build the natural edge
 set and provide a delay-aware :func:`transitive_reduce` that removes any
@@ -89,7 +89,7 @@ class DataDependenceGraph:
     were measurable); a caller that mutates the graph while iterating must
     snapshot first (``list(ddg.succs(ins))``).  Every mutation bumps
     :attr:`version`, which incremental consumers (the scheduler's
-    :class:`~repro.sched.ready.DependenceState`) use to invalidate their
+    :class:`~repro.sched.soa.DenseDependenceState`) use to invalidate their
     derived state.
     """
 

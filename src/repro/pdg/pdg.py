@@ -115,9 +115,9 @@ class RegionPDG:
             if n != REGION_EXIT
         ]
         self.reachable_pairs = self._reachable_pairs()
-        # module-global lookup by default so reference/chaos tooling can
-        # swap the builder; callers that must not see such patches (the
-        # schedule verifier) inject their own ``ddg_builder``
+        # module-global lookup by default so chaos tooling can swap the
+        # builder; callers that must not see such patches (the schedule
+        # verifier) inject their own ``ddg_builder``
         builder = ddg_builder if ddg_builder is not None else build_region_ddg
         self.ddg: DataDependenceGraph = builder(
             self._ddg_blocks(), self.reachable_pairs, machine,

@@ -16,10 +16,10 @@ block position), priority keys packed to single ints
 earliest starts in flat lists, and readiness kept incrementally -- issuing
 an instruction classifies each successor once instead of rescanning every
 pending instruction per issue.  Selection is an argmin scan of the (small)
-ready list; keys are unique (position is a field), so this equals the
-seed's stable sort.  The seed's rescan implementation is preserved
-verbatim as :func:`repro.sched.reference.schedule_block_reference` and the
-equivalence suite holds the two byte-identical.
+ready list; keys are unique (position is a field), so this equals a
+stable sort of the ready list.  ``tests/verify/test_order.py`` holds each
+emitted block to the order checker's properties, with its cycles rebuilt
+from the emitted order.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from ..machine.model import MachineModel
 from ..pdg.data_deps import build_block_ddg
 from .heuristics import local_priorities
 from .soa import pack_rows
-
-_MAX_STALL = 10_000
 
 
 def _initial_blocked(dense) -> list[int]:
@@ -92,7 +90,6 @@ def schedule_block(block: BasicBlock, machine: MachineModel) -> int:
     issued: list = []
     left = n
     cycle = 0
-    stall = 0
     while left:
         due = wheel.pop(cycle, None)
         if due is not None:
@@ -101,11 +98,10 @@ def schedule_block(block: BasicBlock, machine: MachineModel) -> int:
         budget = machine.total_issue_width
         issued_this_cycle = False
         while budget > 0 and ready:
-            # argmin over the ready list, skipping full units -- the
-            # seed sorts the whole ready list and takes the first with
-            # a free unit; keys are unique so argmin is identical.  The
-            # earliest-start gate mirrors the seed's per-scan timing
-            # check: admission (initial / wheel / same-cycle classify)
+            # argmin over the ready list, skipping full units -- keys are
+            # unique, so this is the first of the sorted ready list with
+            # a free unit.  The earliest-start gate re-checks timing at
+            # each pick: admission (initial / wheel / same-cycle classify)
             # already guarantees it, but it keeps timing authoritative
             # if the readiness counters are broken (fault injection)
             best = -1
@@ -150,8 +146,10 @@ def schedule_block(block: BasicBlock, machine: MachineModel) -> int:
                     wheel.setdefault(earliest[term_idx], []).append(term_idx)
         if not left:
             break
-        stall = 0 if issued_this_cycle else stall + 1
-        if stall > _MAX_STALL:
+        if not issued_this_cycle and not wheel and all(
+                earliest[i] <= cycle for i in ready):
+            # nothing issued with every unit free, and no start lies
+            # ahead: no later cycle can differ from this one
             raise RuntimeError(
                 f"basic-block scheduler stalled in {block.label}")
         cycle += 1

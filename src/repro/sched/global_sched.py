@@ -28,10 +28,11 @@ per-unit ready heaps exactly once -- when their last dependence
 predecessor fulfills -- keyed by priority tuples *packed into single
 ints* at collection time, with future earliest starts absorbed by a
 timing wheel and speculative candidates re-judged only when a motion
-actually grew a live-on-exit set their definitions appear in.  The seed's
-scan-driven loop survives only as the test oracle in
-:mod:`repro.sched.reference`; both produce byte-identical schedules,
-motions and traces (``tests/sched/test_event_scan_equivalence.py``).
+actually grew a live-on-exit set their definitions appear in.  A traced,
+verified compile replays each sweep's decision events through the order
+checker (:mod:`repro.verify.order`), which recomputes readiness, D and
+CP from their definitions and holds every issue to the Section 5.2
+order.
 
 Packing keys at collection time is what makes ``priority_fn`` static by
 contract: it must return a tuple of ints, of one length for every
@@ -87,10 +88,6 @@ _UNIT_LIST = tuple(UnitType)
 #: the full decision order of the sorted ready list: duplication class
 #: first (a global_sched refinement), then the Section 5.2 steps
 _FULL_PRIORITY_STEPS = ("duplication-class", *PRIORITY_STEPS)
-
-#: Safety valve: a block pass that stalls this many consecutive cycles
-#: without issuing anything indicates a dependence-state bug.
-_MAX_STALL = 10_000
 
 #: How many extra cycles a block may stay open to host duplicated motion
 #: (Definition 6); bounds the code-size / schedule-length trade.
@@ -195,7 +192,8 @@ def schedule_region(
             previous = None  # timing does not carry across opaque loops
             continue
         # Carry the previous pass's timing across the block boundary when
-        # control actually flows that way (see DependenceState.begin_block).
+        # control actually flows that way (see
+        # DenseDependenceState.begin_block).
         carry = None
         if previous is not None and previous in pdg.forward.preds(node):
             carry = report.block_cycles.get(previous)
@@ -291,7 +289,7 @@ def _schedule_block(
     seq_status = queue.status
     seq_units = queue.units
     seq_idx = queue.seq_idx
-    #: how many candidates the seed scan would revisit per scan point
+    #: how many candidates a rescanning loop would revisit per scan point
     unissued = len(pending)
 
     # Definition 6 extension: a block may stay open for a few extra
@@ -315,7 +313,7 @@ def _schedule_block(
         return False
 
     def trace_snapshot(chosen_seq: int, with_term: bool):
-        """The seed scheduler's sorted ready list, for issue tracing."""
+        """The sorted ready list, for issue tracing."""
         snap = queue.ready_seqs(include_term=with_term)
         pos = snap.index(chosen_seq)
         keys = {id(queue.cands[s].ins): nested_keys[s] for s in snap}
@@ -325,7 +323,6 @@ def _schedule_block(
     term_idx = -1 if terminator is None else state.index_of(terminator)
     unit_counts = [machine.unit_count(unit) for unit in _UNIT_LIST]
     cycle = 0
-    stall = 0
     done = not own_remaining
     try:
         while not done:
@@ -448,8 +445,14 @@ def _schedule_block(
                 break
             if not own_remaining or own_remaining == {term_id}:
                 fill_budget -= 1  # this cycle was borrowed for duplication
-            stall = 0 if issued_this_cycle else stall + 1
-            if stall > _MAX_STALL:
+            # stuck after an idle cycle unless something issuable is
+            # ready, some start lies ahead, or a duplication hold keeps
+            # the block open (it expires with the fill budget)
+            if not (issued_this_cycle or hold_for_dup or queue.expecting
+                    or (own_remaining == {term_id} and term_idx >= 0
+                        and state.deps_satisfied_idx(term_idx)
+                        and state.earliest_start_idx(term_idx) > cycle)
+                    or queue.select(unit_counts) >= 0):
                 stuck = sorted(f"I{pending[i].ins.uid}"
                                for i in own_remaining)
                 raise RuntimeError(
@@ -485,7 +488,7 @@ def _check_priority_keys(keys: list) -> None:
 def _judge_speculative(seq, queue, live_tracker, label, pdg,
                        rename_on_demand, vetoes_logged, tracer, metrics):
     """Judge one speculative candidate's Section 5.3 veto, exactly as the
-    scan engine would at the same scan point: pass -> heap, veto ->
+    Section 5.1 scan would at the same scan point: pass -> heap, veto ->
     rename attempt (Section 4.2) or park."""
     cand = queue.cands[seq]
     ins = cand.ins

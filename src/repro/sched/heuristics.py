@@ -94,22 +94,6 @@ def priority_key(
     return (0 if useful else 1, -d, -cp, ins.uid)
 
 
-def full_priority_key(cand, priorities: dict[int, tuple[int, int]]):
-    """The complete static decision tuple for one scheduling candidate:
-    duplication class first (Definition 6 motion is the costliest, it
-    ranks after useful and speculative candidates -- the paper's
-    conservative order), then :func:`priority_key`.
-
-    Every component is invariant for the duration of a block pass (a
-    Section 4.2 rename keeps the uid and the precomputed D/CP), so the
-    event-driven ready queue computes this exactly once per candidate at
-    collection time instead of per readiness scan.
-    """
-    return (1 if cand.duplicate_into else 0,
-            priority_key(cand.ins, useful=cand.useful,
-                         priorities=priorities))
-
-
 def machine_free_exec(ins: Instruction) -> int:
     """Fallback CP seed when an instruction has no recorded priorities
     (e.g. freshly created by a transformation after priority computation)."""

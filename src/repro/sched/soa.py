@@ -21,16 +21,14 @@ storage instead:
   collection sequence number, heap items are ``(packed_key, seq, epoch)``
   int triples, and the evaluation queue is a heap of plain ints.
 
-Equivalence contract: the scan engine
-(:func:`repro.sched.reference.schedule_block_scan`) remains the oracle.
-At every scan point the heap residents equal the seed scheduler's ready
-list, selection order equals its sorted order (packing is strictly
-monotone, and ``seq`` reproduces the seed's stable-sort tie-break), and
-veto/rename judgments happen for exactly the candidates the seed scan
-would have re-judged to a different answer, in the seed's iteration
-order.  ``tests/sched/test_event_scan_equivalence.py`` and the
-scorecard's ``engines_agree`` cells hold assembly, motions and decision
-traces byte-identical across machines x levels.
+Decision contract: at every scan point the heap residents are exactly
+the candidates the Section 5.1 loop finds ready, selection follows their
+sorted order (packing is strictly monotone, and ``seq`` is the
+collection-order tie-break), and veto/rename judgments happen for
+exactly the candidates whose answer could have changed, in collection
+order.  The order checker (:mod:`repro.verify.order`) replays traced,
+verified sweeps against that definition: ``tests/verify/test_order.py``
+and the scorecard's ``order_ok`` cells across machines x levels.
 
 Graph mutations (Section 4.2 renames, Definition 6 duplication) bump
 ``DataDependenceGraph.version``; the dense snapshot is rebuilt lazily and
@@ -102,25 +100,22 @@ def pack_rows(rows: list[tuple]) -> list[int]:
 class DenseDependenceState:
     """Fulfilment and earliest-start tracking on flat arrays.
 
-    Drop-in behavioural twin of :class:`repro.sched.ready.DependenceState`
-    (which the scan oracle keeps using), but every per-instruction fact is
-    an array slot indexed by the region's dense interning:
+    Every per-instruction fact is an array slot indexed by the region's
+    dense interning:
 
     * ``_fulfilled``: bytearray flag per instruction;
     * ``_blocked``: ``array('i')`` of unfulfilled-predecessor counts,
       recomputed eagerly from the CSR predecessor lists on snapshot
-      (re)binding -- equivalent to the lazy dict because decrements apply
-      from state creation onward either way;
+      (re)binding, then decremented on every fulfilment;
     * ``_earliest``: ``array('i')`` earliest start within the current
-      pass, folded incrementally on issue exactly like the dict version;
+      pass, folded incrementally on issue;
     * ``_local`` / ``_carry``: issue cycles (current pass / shifted
       previous pass) with the :data:`_NEVER` sentinel.
 
     A DDG version bump triggers a rebind: the dense snapshot is refreshed
     (indices are stable, new instructions append), surviving per-index
     facts are extended, and the derived counters are recomputed from the
-    current fulfilment -- the array analogue of the dict state dropping
-    its lazy caches.
+    current fulfilment.
     """
 
     def __init__(self, ddg: DataDependenceGraph, machine: MachineModel,
@@ -147,9 +142,8 @@ class DenseDependenceState:
     def set_listener(self, listener) -> None:
         """Subscribe ``listener(idx)`` to blocked-count zero crossings
         (``idx`` is the instruction's dense index).  After a version bump
-        the counters are recomputed, so -- like the dict state after its
-        caches clear -- the subscriber must requalify via the rebuild
-        protocol :class:`DenseReadyQueue` follows."""
+        the counters are recomputed, so the subscriber must requalify via
+        the rebuild protocol :class:`DenseReadyQueue` follows."""
         self._listener = listener
 
     # -- snapshot lifecycle --------------------------------------------------
@@ -226,8 +220,7 @@ class DenseDependenceState:
     # -- pass lifecycle ------------------------------------------------------
 
     def begin_block(self, *, carry_cycles: int | None = None) -> None:
-        """Start a new block pass (semantics of
-        :meth:`repro.sched.ready.DependenceState.begin_block`): the
+        """Start a new block pass: the
         previous pass's issue cycles either stop constraining timing or
         carry over shifted by ``carry_cycles``, and earliest starts are
         recomputed under the new pass's clock.
@@ -319,8 +312,8 @@ class DenseDependenceState:
             j = succ_idx[k]
             # fold the timing bound *before* any zero-crossing can fire
             # the listener: the queue classifies the successor against
-            # earliest_start_idx the moment it unblocks, and the lazy
-            # dict-based oracle always sees this issue's contribution
+            # earliest_start_idx the moment it unblocks, so the bound
+            # must already hold
             bound = cycle + succ_w[k]
             if bound > earliest[j]:
                 earliest[j] = bound
@@ -355,21 +348,13 @@ class DenseDependenceState:
         i = self.index_of(ins)
         return i >= 0 and bool(self._fulfilled[i])
 
-    def start_of(self, ins) -> int | None:
-        """Issue cycle within the current pass (None if not issued here)."""
-        i = self.index_of(ins)
-        if i < 0:
-            return None
-        s = self._local[i]
-        return None if s == _NEVER else s
-
 
 class DenseReadyQueue:
     """Event-driven ready bookkeeping on parallel arrays.
 
     Mechanism-for-mechanism port of the retired object-based queue: one
     slot per candidate in collection order (``seq``), so ``seq`` doubles
-    as the seed scan's stable-sort tie-break.  State per candidate --
+    as the collection-order tie-break.  State per candidate --
     status, heap epoch, queued/flagged bits, unit, packed key, dense DDG
     index -- lives in parallel arrays; the per-unit heaps hold
     ``(packed_key, seq, epoch)`` int triples with lazy deletion (an entry
@@ -390,7 +375,7 @@ class DenseReadyQueue:
         packed keys in collection order.  The terminator (pull-checked by
         the scheduler, never queued) and foreign branches (never issuable)
         still consume sequence numbers so tie-breaks stay aligned with the
-        seed scan."""
+        Section 5.1 scan."""
         self._state = state
         self._m = metrics if metrics.enabled else None
         self._heaps: list[list] = [[] for _ in UnitType]
@@ -398,7 +383,7 @@ class DenseReadyQueue:
         self._current: list[int] = []    # seq heap: judged this scan
         self._staged: list[int] = []     # judged at the next scan point
         self._index: dict = {}           # Reg -> [speculative heap seqs]
-        self._live = 0                   # heap residents == seed ready count
+        self._live = 0                   # heap residents == ready count
         self._cycle = 0
         self._drain_seq = -1             # last seq judged this scan
         self._requalify = False          # stale pre-mutation judgments exist
@@ -498,10 +483,10 @@ class DenseReadyQueue:
 
     def next_evaluation(self) -> int:
         """Seq of the next candidate the scheduler must judge (veto /
-        rename), in seed scan order; -1 when the scan point is drained.
+        rename), in collection order; -1 when the scan point is drained.
         Non-speculative activations are promoted straight to their heap
-        here -- they need no judgment and the seed scan emits nothing for
-        them."""
+        here -- they need no judgment and the Section 5.1 scan emits
+        nothing for them."""
         current = self._current
         status = self.status
         queued = self._queued
@@ -550,11 +535,17 @@ class DenseReadyQueue:
     def ready_count(self) -> int:
         return self._live
 
+    @property
+    def expecting(self) -> bool:
+        """Can a later scan point find work with no further issue: a
+        start on the wheel, or judgments a rename left to requalify?"""
+        return bool(self._wheel or self._staged or self._requalify)
+
     def select(self, free: list[int]) -> int:
         """Seq of the best heap resident whose unit still has a free slot
-        (the seed scan's first issuable candidate in sorted order), or
+        (the first issuable candidate in sorted order), or
         -1.  Heap items compare ``(packed_key, seq)`` first, which is
-        exactly the seed's sorted-then-stable order."""
+        exactly the sorted-then-stable order."""
         best = None
         for unit_idx, heap in enumerate(self._heaps):
             if free[unit_idx] <= 0:
@@ -576,7 +567,7 @@ class DenseReadyQueue:
         self.status[self.term_seq] = _ISSUED
 
     def ready_seqs(self, include_term: bool) -> list[int]:
-        """The seed scheduler's full sorted ready list as seqs, for issue
+        """The full sorted ready list as seqs, for issue
         tracing only."""
         status = self.status
         epoch = self._epoch
@@ -700,7 +691,7 @@ class DenseReadyQueue:
 
         ``gate == -1`` (a scan-point rebuild) reclassifies everything.
         A mid-scan rebuild (``gate >= 0``, a rename fired while judging)
-        preserves the judgments already made this scan -- the seed scan
+        preserves the judgments already made this scan -- the Section 5.1 scan
         judged those candidates on the pre-rename graph -- and schedules
         a requalifying rebuild for the next scan point.
         """
@@ -740,7 +731,7 @@ class DenseReadyQueue:
             flagged[seq] = 0
             self._classify(seq)
             if status[seq] == _PENDING:
-                # eligible for judgment in this very scan: the seed scan
+                # eligible for judgment in this very scan: the Section 5.1 scan
                 # reaches these positions only after the mutation
                 self._staged.pop()  # _classify staged it as the last element
                 heappush(self._current, seq)

@@ -46,9 +46,7 @@ class LiveOnExitTracker:
     interned to dense bit positions on first use, each node gets a
     downstream mask (all nodes reachable from it) and an upstream mask
     (all nodes that reach it, the transpose), and the between-set is one
-    mask intersection -- instead of two full graph traversals per motion
-    (preserved in
-    :class:`repro.sched.reference.LiveOnExitTrackerReference`).
+    mask intersection -- instead of two full graph traversals per motion.
     """
 
     def __init__(self, live_out: dict[str, set[Reg]], forward: Digraph,
@@ -219,8 +217,7 @@ class LiveOnExitTracker:
 
     def _record_motion_traversal(self, defs, src: str, dst: str) -> None:
         """Traversal fallback for labels outside the interned graph
-        (identical to the seed tracker's behaviour, plus the bitmask
-        dual-write)."""
+        (the same blocks, plus the bitmask dual-write)."""
         if self._reverse is None:
             self._reverse = self._forward.reversed()
         downstream = self._forward.reachable_from(dst)

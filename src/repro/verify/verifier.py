@@ -99,6 +99,8 @@ class VerifyReport:
     checked_motions: int = 0
     #: regions whose dependences were judged: those with a changed block
     checked_regions: int = 0
+    #: what judged the sweep (:mod:`repro.verify.order` says "order check")
+    check: str = "schedule verification"
 
     @property
     def ok(self) -> bool:
@@ -113,8 +115,7 @@ class VerifyReport:
         return self
 
     def format(self) -> str:
-        head = (f"schedule verification of {self.function} "
-                f"@{self.level.value}: "
+        head = (f"{self.check} of {self.function} @{self.level.value}: "
                 f"{len(self.issues)} issue(s), {self.checked_edges} edges, "
                 f"{self.checked_motions} motions, "
                 f"{self.checked_regions} regions")
@@ -250,8 +251,8 @@ def verify_schedule(
             # un-reduced: the verifier must see every natural edge, not the
             # transitive reduction the scheduler works from.  The builder
             # is injected from data_deps directly so namespace patches of
-            # ``repro.pdg.pdg.build_region_ddg`` (chaos fault injection,
-            # reference-mode swaps) cannot corrupt the judge.
+            # ``repro.pdg.pdg.build_region_ddg`` (chaos fault injection)
+            # cannot corrupt the judge.
             from ..pdg.data_deps import build_region_ddg
 
             pdgs[spec.header_node] = build_region_pdg(

@@ -30,7 +30,7 @@ from ..ir.verify import verify_function
 from ..machine.model import MachineModel
 from ..obs.events import FunctionBegin, FunctionEnd, PhaseBegin, PhaseEnd
 from ..obs.metrics import NULL_METRICS, MetricsCollector
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.tracer import NULL_TRACER, CollectingTracer, TeeTracer, Tracer
 from ..sched.bb_sched import schedule_function_blocks
 from ..sched.candidates import ScheduleLevel
 from ..sched.driver import GlobalScheduleReport, global_schedule
@@ -223,8 +223,16 @@ def _optimize_once(
     def snapshot() -> Function | None:
         return func.clone() if config.verify else None
 
+    def sweep_tracer(before: Function | None):
+        """A verified, traced global sweep also keeps its own decision
+        events, for the order check; every other sweep traces as is."""
+        if before is None or not tracer.enabled:
+            return tracer, None
+        events = CollectingTracer()
+        return TeeTracer(tracer, events), events
+
     def check(before: Function | None, *, level: ScheduleLevel,
-              motions=()) -> None:
+              motions=(), events=None, priority_fn=None) -> None:
         if before is None:
             return
         from ..verify.verifier import verify_schedule
@@ -238,6 +246,18 @@ def _optimize_once(
                 max_speculation=config.max_speculation,
                 allow_duplication=config.allow_duplication,
             ))
+            if events is not None:
+                from ..verify.order import check_order
+
+                report.verify_reports.append(check_order(
+                    before, func, events.events, machine,
+                    level=level,
+                    live_at_exit=live_at_exit,
+                    max_speculation=config.max_speculation,
+                    rename_on_demand=config.rename_on_demand,
+                    allow_duplication=config.allow_duplication,
+                    priority_fn=priority_fn,
+                ))
 
     # Machine-independent optimizations the BASE compiler also performs.
     # Optional transforms are `skippable`: under a guard a failure inside
@@ -297,6 +317,7 @@ def _optimize_once(
 
     # Step 2: first global pass, inner regions only.
     before = snapshot()
+    sweep_trace, events = sweep_tracer(before)
     with phase("global-pass-1"):
         first_pass = global_schedule(
             func, machine, config.level,
@@ -310,13 +331,14 @@ def _optimize_once(
             priority_fn=priority_fn,
             allow_duplication=config.allow_duplication,
             analyses=analyses,
-            tracer=tracer,
+            tracer=sweep_trace,
             metrics=metrics,
         )
         verify_function(func)
         report.first_pass = first_pass
     analyses.invalidate_liveness()
-    check(before, level=config.level, motions=report.first_pass.motions)
+    check(before, level=config.level, motions=report.first_pass.motions,
+          events=events, priority_fn=priority_fn)
 
     # Step 3: rotate small inner loops.
     rotated_headers: set[str] = set()
@@ -343,7 +365,10 @@ def _optimize_once(
             return spec.header_node in rotated_headers
         return True
 
+    priority_fn = (make_profile_priority_fn(config.profile, func)
+                   if config.profile else None)
     before = snapshot()
+    sweep_trace, events = sweep_tracer(before)
     with phase("global-pass-2"):
         second_pass = global_schedule(
             func, machine, config.level,
@@ -353,17 +378,17 @@ def _optimize_once(
             apply_size_limits=config.apply_size_limits,
             inner_levels_only=config.inner_levels_only,
             region_filter=second_filter,
-            priority_fn=(make_profile_priority_fn(config.profile, func)
-                         if config.profile else None),
+            priority_fn=priority_fn,
             allow_duplication=config.allow_duplication,
             analyses=analyses,
-            tracer=tracer,
+            tracer=sweep_trace,
             metrics=metrics,
         )
         verify_function(func)
         report.second_pass = second_pass
     analyses.invalidate_liveness()
-    check(before, level=config.level, motions=report.second_pass.motions)
+    check(before, level=config.level, motions=report.second_pass.motions,
+          events=events, priority_fn=priority_fn)
 
     # Post-pass: local scheduling of every block.
     if config.post_bb_pass:

@@ -44,7 +44,7 @@ class TestMatrixStructure:
         assert card.ok
         for cell in card.cells:
             assert cell.verified
-            assert cell.engines_agree
+            assert cell.order_ok
             assert cell.oracle_ok
             assert cell.bsp_ok
             assert cell.cycles >= cell.bsp_lower_bound

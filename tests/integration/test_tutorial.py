@@ -92,3 +92,15 @@ def test_section_8_register_allocation():
     func = base["minmax"].func
     report = allocate_registers(func, live_at_exit=frozenset())
     assert report.machine_registers_used(RegClass.GPR) <= 32
+
+
+def test_section_14_order_check():
+    from repro.obs import CollectingTracer
+
+    config = PipelineConfig(level=ScheduleLevel.SPECULATIVE, verify=True,
+                            trace=CollectingTracer())
+    checked = compile_c(SOURCE, config=config)
+    heads = [report.format().splitlines()[0]
+             for report in checked["minmax"].report.verify_reports]
+    assert sum(h.startswith("order check of minmax") for h in heads) == 2
+    assert all(": 0 issue(s)," in h for h in heads)

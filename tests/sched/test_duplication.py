@@ -191,3 +191,26 @@ int f(int a[], int n) {
                                config=config)
             run = result["f"].run(list(data), 30)
             assert run.return_value == expected
+
+
+@pytest.mark.parametrize("index", [30, 64, 140, 151])
+def test_stall_is_reported_as_soon_as_nothing_can_change(index):
+    """These programs stall with duplication on (ROADMAP item 1).  The
+    guard raises on the first idle cycle with nothing issuable ready,
+    nothing maturing on the timing wheel and no duplication hold: the
+    stalled block opens fewer than 100 cycles, not 10,000."""
+    from repro.machine.configs import CONFIGS
+    from repro.obs import CollectingTracer
+    from repro.verify.fuzz import derive_seed
+    from repro.verify.generator import generate_program
+
+    trace = CollectingTracer()
+    level = ScheduleLevel.SPECULATIVE
+    config = PipelineConfig(level=level, allow_duplication=True,
+                            trace=trace)
+    with pytest.raises(RuntimeError, match="scheduler stalled") as exc:
+        compile_c(generate_program(derive_seed(1991, index)).source,
+                  machine=CONFIGS["ss2"](), level=level, config=config)
+    label = str(exc.value).split()[4].rstrip(":")
+    cycles = [e for e in trace.of_kind("cycle") if e.label == label]
+    assert 0 < len(cycles) < 100

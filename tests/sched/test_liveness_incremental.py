@@ -1,11 +1,9 @@
 """Property tests for the bitset live-on-exit tracker (Section 5.3).
 
-The optimized :class:`LiveOnExitTracker` answers "which blocks lie on a
-forward path from the motion target to the motion source" from interned
-per-region reachability bitsets; the preserved
-:class:`LiveOnExitTrackerReference` re-walks the graph per motion.  On
-randomized DAG regions and randomized motion sequences the two must
-maintain *identical* live-on-exit sets -- and both must match a naive
+The :class:`LiveOnExitTracker` answers "which blocks lie on a forward
+path from the motion target to the motion source" from interned
+per-region reachability bitsets.  On randomized DAG regions and
+randomized motion sequences its live-on-exit sets must match a naive
 from-scratch recomputation of the paper's rule.  A second property pins
 the ready queue's targeted veto invalidation: after any motion, the set
 of heap residents flagged for re-judgment is exactly the set whose
@@ -18,7 +16,6 @@ from repro.cfg import Digraph
 from repro.ir import gpr
 from repro.ir.instruction import Instruction
 from repro.ir.opcodes import Opcode
-from repro.sched.reference import LiveOnExitTrackerReference
 from repro.sched.speculation import LiveOnExitTracker
 
 
@@ -61,8 +58,6 @@ def test_trackers_agree_on_random_motion_sequences():
                         for _ in range(rng.randrange(3))}
                 for label in labels}
         fast = LiveOnExitTracker({k: set(v) for k, v in base.items()}, graph)
-        slow = LiveOnExitTrackerReference(
-            {k: set(v) for k, v in base.items()}, graph)
         shadow = {k: set(v) for k, v in base.items()}
 
         for _ in range(15):
@@ -75,13 +70,10 @@ def test_trackers_agree_on_random_motion_sequences():
             ins = defining([gpr(rng.randrange(8))
                             for _ in range(1 + rng.randrange(2))])
             fast.record_motion(ins, src, dst)
-            slow.record_motion(ins, src, dst)
             for label in naive_between(graph, src, dst):
                 shadow.setdefault(label, set()).update(ins.reg_defs())
 
             for label in labels:
-                assert fast.live_out_of(label) == slow.live_out_of(label), (
-                    f"trial {trial}: trackers diverged at {label}")
                 assert fast.live_out_of(label) == shadow.get(label, set()), (
                     f"trial {trial}: bitset tracker diverged from naive "
                     f"recomputation at {label}")
@@ -90,40 +82,41 @@ def test_trackers_agree_on_random_motion_sequences():
 def test_unknown_labels_fall_back_to_traversal():
     """Labels outside the interned region graph (duplication copies land
     in blocks the forward graph never saw) take the traversal fallback
-    and still agree with the reference."""
+    and still follow the naive rule."""
     graph = Digraph()
     for label in ("B0", "B1"):
         graph.add_node(label)
     graph.add_edge("B0", "B1")
     fast = LiveOnExitTracker({}, graph)
-    slow = LiveOnExitTrackerReference({}, graph)
     ins = defining([gpr(1)])
     fast.record_motion(ins, "B1", "B0")       # prime the bitsets
-    slow.record_motion(ins, "B1", "B0")
     outside = defining([gpr(2)])
     fast.record_motion(outside, "ELSEWHERE", "ELSEWHERE2")
-    slow.record_motion(outside, "ELSEWHERE", "ELSEWHERE2")
-    for label in ("B0", "B1", "ELSEWHERE", "ELSEWHERE2"):
-        assert fast.live_out_of(label) == slow.live_out_of(label)
+    shadow = {label: set() for label in ("B0", "B1", "ELSEWHERE",
+                                         "ELSEWHERE2")}
+    for moved, src, dst in ((ins, "B1", "B0"),
+                            (outside, "ELSEWHERE", "ELSEWHERE2")):
+        for label in naive_between(graph, src, dst):
+            shadow[label].update(moved.reg_defs())
+    for label, expected in shadow.items():
+        assert fast.live_out_of(label) == expected
 
 
 def test_blocks_motion_follows_dynamic_updates():
-    """Section 5.3's x=5/x=3 shape on the trackers directly: after one
-    sibling definition moves up, the other is vetoed -- identically on
-    both implementations."""
+    """Section 5.3's x=5/x=3 shape on the tracker directly: after one
+    sibling definition moves up, the other is vetoed."""
     graph = Digraph()
     for label in ("A", "T", "E"):
         graph.add_node(label)
     graph.add_edge("A", "T")
     graph.add_edge("A", "E")
-    for tracker in (LiveOnExitTracker({}, graph),
-                    LiveOnExitTrackerReference({}, graph)):
-        x = gpr(5)
-        first, second = defining([x]), defining([x])
-        assert not tracker.blocks_motion(first, "A")
-        tracker.record_motion(first, "T", "A")
-        assert tracker.blocks_motion(second, "A")
-        assert tracker.blocking_regs(second, "A") == (x,)
+    tracker = LiveOnExitTracker({}, graph)
+    x = gpr(5)
+    first, second = defining([x]), defining([x])
+    assert not tracker.blocks_motion(first, "A")
+    tracker.record_motion(first, "T", "A")
+    assert tracker.blocks_motion(second, "A")
+    assert tracker.blocking_regs(second, "A") == (x,)
 
 
 def test_targeted_invalidation_flags_exactly_the_affected_residents():

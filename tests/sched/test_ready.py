@@ -3,7 +3,7 @@
 from repro.ir import parse_function
 from repro.machine import rs6k
 from repro.pdg import build_block_ddg
-from repro.sched import DependenceState
+from repro.sched import DenseDependenceState
 
 
 def make_state():
@@ -18,7 +18,7 @@ a:
     block = func.block("a")
     machine = rs6k()
     ddg = build_block_ddg(block, machine)
-    state = DependenceState(ddg, machine)
+    state = DenseDependenceState(ddg, machine)
     state.begin_block()
     return block, state
 
@@ -118,7 +118,7 @@ a:
     machine = rs6k()
     ddg = build_block_ddg(block, machine)
     one, two = block.instrs
-    state = DependenceState(ddg, machine)
+    state = DenseDependenceState(ddg, machine)
     state.begin_block()
     # independent at first: both are ready roots
     assert state.deps_satisfied(one) and state.deps_satisfied(two)

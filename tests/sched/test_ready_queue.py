@@ -1,7 +1,7 @@
 """Unit tests for the event-driven dense ready queue (the SoA core).
 
-The equivalence suite proves the queue reproduces the seed scan
-end-to-end; these tests pin the *mechanisms* in isolation: each
+The order checker (``tests/verify/test_order.py``) holds whole sweeps
+to the Section 5.2 order; these tests pin the *mechanisms* in isolation: each
 candidate is pushed to its heap exactly once, the timing wheel holds
 activations until their earliest-start cycle, the dependence-state
 listener fires on the last predecessor only, graph mutations trigger
@@ -13,7 +13,7 @@ from repro.machine import rs6k
 from repro.obs.metrics import MetricsCollector
 from repro.pdg import build_block_ddg
 from repro.sched.candidates import Candidate
-from repro.sched.heuristics import compute_region_priorities, full_priority_key
+from repro.sched.heuristics import compute_region_priorities, priority_key
 from repro.sched.soa import (
     _PARKED,
     _READY,
@@ -41,8 +41,8 @@ a:
     state.begin_block()
     priorities = compute_region_priorities([block], ddg, machine)
     cands = [Candidate(ins, "a", useful=True) for ins in block.instrs]
-    rows = [full_priority_key(c, priorities) for c in cands]
-    pkeys = pack_rows([(dup, *rest) for dup, rest in rows])
+    pkeys = pack_rows([priority_key(c.ins, useful=True, priorities=priorities)
+                       for c in cands])
     queue = DenseReadyQueue(
         state,
         cands,
