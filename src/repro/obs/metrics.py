@@ -180,47 +180,16 @@ def format_stats(title: str, machine_name: str, level_name: str,
             lines.append(f"ready-list pressure  avg {metrics.mean('sched.ready'):.2f}"
                          f"  max {metrics.peak('sched.ready'):.0f}"
                          f"  over {ready_n} cycles")
-        scans = c.get("sched.queue.scan_points", 0)
-        if scans:
-            rows = (
-                ("readiness scan points", scans),
-                ("candidate visits, seed full scan",
-                 c.get("sched.queue.seed_scan_visits", 0)),
-                ("ready pushes", c.get("sched.queue.ready_pushes", 0)),
-                ("heap pops (issues)", c.get("sched.queue.heap_pops", 0)),
-                ("speculative veto re-checks",
-                 c.get("sched.queue.veto_rechecks", 0)),
-                ("timing-wheel holds", c.get("sched.queue.wheel_holds", 0)),
-                ("liveness re-flags", c.get("sched.queue.liveness_flags", 0)),
-                ("queue rebuilds (graph mutated)",
-                 c.get("sched.queue.rebuilds", 0)),
-            )
-            lines.append("")
-            lines.append("scheduler inner loop (event-driven ready queue)")
-            for label, count in rows:
-                lines.append(f"  {label:<33}{count:>6}")
-            seed_visits = c.get("sched.queue.seed_scan_visits", 0)
-            event_visits = sum(c.get(f"sched.queue.{k}", 0)
-                               for k in ("ready_pushes", "heap_pops",
-                                         "veto_rechecks", "wheel_holds",
-                                         "liveness_flags"))
-            if seed_visits > event_visits:
-                lines.append(f"  scan work avoided                "
-                             f"{1 - event_visits / seed_visits:>6.1%}  "
-                             f"({event_visits}/{seed_visits} candidate "
-                             f"visits)")
-        packed = c.get("sched.soa.packed_keys", 0)
-        if packed:
+        soa_rows = (
+            ("dense-table bytes interned",
+             c.get("sched.soa.dense_bytes", 0)),
+            ("liveness queries from bitmask",
+             c.get("sched.soa.mask_queries", 0)),
+            ("liveness bitmask updates",
+             c.get("sched.soa.mask_updates", 0)),
+        )
+        if any(count for _, count in soa_rows):
             interns = metrics.series.get("sched.soa.intern_ms", (0, 0.0, 0.0))
-            soa_rows = (
-                ("priority keys packed to ints", packed),
-                ("dense-table bytes interned",
-                 c.get("sched.soa.dense_bytes", 0)),
-                ("liveness queries from bitmask",
-                 c.get("sched.soa.mask_queries", 0)),
-                ("liveness bitmask updates",
-                 c.get("sched.soa.mask_updates", 0)),
-            )
             lines.append("")
             lines.append("struct-of-arrays core")
             for label, count in soa_rows:

@@ -209,10 +209,12 @@ class DenseDDG:
     start-to-start separations in the parallel ``succ_w`` slice
     (``exec_time(src) + delay`` for flow edges, 0 otherwise -- the weights
     are machine-dependent, which is why the snapshot is taken against a
-    machine model).  ``pred_*`` is the transpose.  The scheduler's hot
-    loop runs entirely on these int arrays; edge *kind*/*reg* metadata
-    stays behind on the object graph, which remains the source of truth
-    for mutation.
+    machine model).  ``pred_*`` is the transpose.  The schedulers read
+    dependences only from these int arrays: the basic-block pass
+    directly, the global block pass through the counters of
+    :class:`~repro.sched.soa.DenseDependenceState`.  Edge *kind*/*reg*
+    metadata stays behind on the object graph, which remains the source
+    of truth for mutation.
     """
 
     __slots__ = ("version", "n", "instrs", "index",

@@ -6,7 +6,7 @@ from .driver import GlobalScheduleReport, default_live_at_exit, global_schedule
 from .global_sched import Motion, RegionScheduleReport, schedule_region
 from .heuristics import local_priorities, priority_key
 from .profiling import BranchProfile, make_profile_priority_fn, select_main_trace
-from .soa import DenseDependenceState, DenseReadyQueue, pack_rows
+from .soa import DenseDependenceState
 from .regions import (
     MAX_REGION_BLOCKS,
     MAX_REGION_INSTRS,
@@ -21,8 +21,6 @@ __all__ = [
     "Candidate",
     "make_profile_priority_fn",
     "DenseDependenceState",
-    "DenseReadyQueue",
-    "pack_rows",
     "GlobalScheduleReport",
     "LiveOnExitTracker",
     "MAX_REGION_BLOCKS",

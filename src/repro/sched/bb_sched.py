@@ -11,15 +11,14 @@ branch stays the terminator.
 
 The inner loop runs on the dense substrate: the block's
 :class:`~repro.pdg.data_deps.DenseDDG` snapshot (dense index ==
-block position), priority keys packed to single ints
-(:func:`repro.sched.soa.pack_rows`), unfulfilled-predecessor counts and
-earliest starts in flat lists, and readiness kept incrementally -- issuing
-an instruction classifies each successor once instead of rescanning every
-pending instruction per issue.  Selection is an argmin scan of the (small)
-ready list; keys are unique (position is a field), so this equals a
-stable sort of the ready list.  ``tests/verify/test_order.py`` holds each
-emitted block to the order checker's properties, with its cycles rebuilt
-from the emitted order.
+block position), unfulfilled-predecessor counts and earliest starts in
+flat lists, and readiness kept incrementally -- issuing an instruction
+classifies each successor once instead of rescanning every pending
+instruction per issue.  Selection is an argmin scan of the (small) ready
+list over the priority rows themselves; rows are unique (position is a
+field), so this equals a stable sort of the ready list.
+``tests/verify/test_order.py`` holds each emitted block to the order
+checker's properties, with its cycles rebuilt from the emitted order.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from ..ir.opcodes import UnitType
 from ..machine.model import MachineModel
 from ..pdg.data_deps import build_block_ddg
 from .heuristics import local_priorities
-from .soa import pack_rows
 
 
 def _initial_blocked(dense) -> list[int]:
@@ -70,7 +68,6 @@ def schedule_block(block: BasicBlock, machine: MachineModel) -> int:
     for i, ins in enumerate(instrs):
         d, cp = priorities.get(id(ins), (0, 0))
         rows.append((-d, -cp, i))
-    pkey = pack_rows(rows)
     unit_of = [ins.unit.index for ins in instrs]
     unit_counts = [machine.unit_count(unit) for unit in UnitType]
 
@@ -105,11 +102,11 @@ def schedule_block(block: BasicBlock, machine: MachineModel) -> int:
             # already guarantees it, but it keeps timing authoritative
             # if the readiness counters are broken (fault injection)
             best = -1
-            best_key = 0
+            best_key = None
             for k, i in enumerate(ready):
                 if free[unit_of[i]] <= 0 or earliest[i] > cycle:
                     continue
-                key = pkey[i]
+                key = rows[i]
                 if best < 0 or key < best_key:
                     best = k
                     best_key = key

@@ -120,11 +120,11 @@ def collect_candidates(
 ) -> list[Candidate]:
     """All candidate instructions for block ``label``, own block included.
 
-    Collection order is the scheduler's tie-break order (the event-driven
-    ready queue stamps it as each candidate's sequence number): own block
-    first, then equivalent homes, then speculative homes.  Foreign
-    branches never appear -- ``can_move_globally`` is false for every
-    branch opcode.
+    Collection order is the order the block pass scans candidates in,
+    and so its final tie-break: own block first (its terminator last),
+    then equivalent homes, then speculative homes.  Foreign branches
+    never appear -- ``can_move_globally`` is false for every branch
+    opcode.
     """
     out: list[Candidate] = []
     append = out.append

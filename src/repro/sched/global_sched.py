@@ -20,23 +20,16 @@ Blocks of a region are visited in topological order.  For each block ``A``:
 The result: "the instructions in A are reordered and there might be
 instructions external to A that are physically moved into A."
 
-Step 3's inner loop is **event-driven** and runs on **struct-of-arrays
-storage** (:mod:`repro.sched.soa`): the region's instructions are interned
-to dense ints, dependence counters and earliest starts live in flat
-``array('i')`` tables over a CSR snapshot of the DDG, and candidates enter
-per-unit ready heaps exactly once -- when their last dependence
-predecessor fulfills -- keyed by priority tuples *packed into single
-ints* at collection time, with future earliest starts absorbed by a
-timing wheel and speculative candidates re-judged only when a motion
-actually grew a live-on-exit set their definitions appear in.  A traced,
-verified compile replays each sweep's decision events through the order
-checker (:mod:`repro.verify.order`), which recomputes readiness, D and
-CP from their definitions and holds every issue to the Section 5.2
-order.
-
-Packing keys at collection time is what makes ``priority_fn`` static by
-contract: it must return a tuple of ints, of one length for every
-instruction, fixed for the whole block pass.
+Step 3 is the Section 5.1 scan itself, run on the struct-of-arrays
+dependence state of :mod:`repro.sched.soa`: each scan point walks the
+block's unissued candidates in collection order, keeps those whose
+dependence predecessors have all issued and whose earliest start is
+reached (a speculative one must also pass the Section 5.3 veto, or be
+admitted by a Section 4.2 rename), and issues the smallest priority row
+that has a free unit.  A traced, verified compile replays each sweep's
+decision events through the order checker (:mod:`repro.verify.order`),
+which recomputes readiness, D and CP from their definitions and holds
+every issue to the Section 5.2 order.
 """
 
 from __future__ import annotations
@@ -78,15 +71,14 @@ from .heuristics import (
     machine_free_exec,
     priority_key,
 )
-from .soa import DenseDependenceState, DenseReadyQueue, pack_rows
-from .soa import _ISSUED as _SEQ_ISSUED
+from .soa import DenseDependenceState
 from .speculation import LiveOnExitTracker, try_rename_for_motion
 
 #: fixed unit order for the flattened per-cycle free-slot arrays
 _UNIT_LIST = tuple(UnitType)
 
-#: the full decision order of the sorted ready list: duplication class
-#: first (a global_sched refinement), then the Section 5.2 steps
+#: the full decision order of a priority row: duplication class first
+#: (a global_sched refinement), then the Section 5.2 steps
 _FULL_PRIORITY_STEPS = ("duplication-class", *PRIORITY_STEPS)
 
 #: How many extra cycles a block may stay open to host duplicated motion
@@ -157,11 +149,11 @@ def schedule_region(
     register gets a fresh name when its def-use web is block-local (this is
     what turns I12's ``cr6`` into ``cr5`` in the paper's Figure 6).
 
-    ``priority_fn(ins, useful, priorities) -> tuple[int, ...]`` overrides
-    the Section 5.2 decision order; the heuristic-ordering ablation bench
+    ``priority_fn(ins, useful, priorities) -> tuple`` overrides the
+    Section 5.2 decision order; the heuristic-ordering ablation bench
     uses it (the paper: "experimentation and tuning are needed").  Its
-    tuples must all have one length and stay fixed for the block pass
-    (:func:`priority_key` is the default).
+    keys are compared as tuples, smaller first, and are taken once per
+    block pass (:func:`priority_key` is the default).
 
     ``tracer``/``metrics`` observe every decision (see :mod:`repro.obs`);
     the no-op defaults cost one guarded attribute load per site and must
@@ -248,17 +240,14 @@ def _schedule_block(
         _note_block_entry(tracer, metrics, label, carry_cycles,
                           equiv, speculative, pending)
     #: ids of instructions whose live-on-exit veto was already reported
-    #: this pass (re-judgments would otherwise repeat it)
+    #: this pass (the scan re-judges them at every scan point)
     vetoes_logged: set[int] = set()
-    terminator = block.terminator
-    term_id = id(terminator) if terminator is not None else None
-    own_remaining = {id(ins) for ins in block.instrs}
-    issued_order: list[Instruction] = []
 
-    # priority rows are static per block pass (usefulness, D/CP and the
-    # uid tie-break never change; renames keep the uid): compute each
-    # candidate's full sort tuple exactly once at collection time, then
-    # pack the rows into single ints so the heaps compare machine ints
+    # One slot per candidate in collection order, so a slot number is
+    # also the tie-break.  The own block comes first and its terminator
+    # last within it.  Priority rows are static per block pass
+    # (usefulness, D/CP and the uid never change; renames keep the uid);
+    # duplication is the costliest class and ranks after the rest.
     cands = list(pending.values())
     if priority_fn is priority_key:
         get_pr = priorities.get
@@ -270,198 +259,184 @@ def _schedule_block(
             rows.append((1 if c.duplicate_into else 0,
                          0 if c.useful else 1, -d, -cp, ins.uid))
     else:
-        keys = [priority_fn(c.ins, useful=c.useful, priorities=priorities)
+        rows = [(1 if c.duplicate_into else 0,
+                 *priority_fn(c.ins, useful=c.useful, priorities=priorities))
                 for c in cands]
-        _check_priority_keys(keys)
-        rows = [(1 if c.duplicate_into else 0, *key)
-                for c, key in zip(cands, keys)]
-    pkeys = pack_rows(rows)
-    if metrics.enabled:
-        metrics.inc("sched.soa.packed_keys", len(rows))
-    if tracer.enabled:
-        # decision tracing wants the unpacked (dup-class, priority-tuple)
-        # form; rebuilt off the hot path, only when a tracer listens
-        nested_keys = [(row[0], tuple(row[1:])) for row in rows]
-
-    queue = DenseReadyQueue(state, cands, pkeys, terminator, metrics)
-    term_seq = queue.term_seq
-    dup_seqs = queue.duplication_seqs
-    seq_status = queue.status
-    seq_units = queue.units
-    seq_idx = queue.seq_idx
-    #: how many candidates a rescanning loop would revisit per scan point
-    unissued = len(pending)
+    idx = state.indices([c.ins for c in cands])
+    units = [c.ins.unit.index for c in cands]
+    #: speculative candidates answer to the Section 5.3 veto; duplication
+    #: needs none (every path into the join still runs a copy)
+    veto = [not (c.useful or c.duplicate_into) for c in cands]
+    n_own = len(block.instrs)
+    terminator = block.terminator
+    term = n_own - 1 if terminator is not None else -1
+    term_idx = idx[term] if term >= 0 else -1
+    #: the unissued candidates in collection order, the terminator and
+    #: foreign branches aside (branches never move)
+    walk = [seq for seq, c in enumerate(cands)
+            if seq != term and not c.ins.is_branch]
+    dups = [seq for seq in walk if cands[seq].duplicate_into]
+    issued = bytearray(len(cands))
+    own_left = n_own
+    issued_order: list[Instruction] = []
 
     # Definition 6 extension: a block may stay open for a few extra
     # cycles to catch join instructions that are about to become ready
     # (otherwise blocks whose own work finishes instantly -- an arm's
     # single AI plus its jump -- would never host a duplicated motion).
-    fill_budget = _DUP_FILL_WINDOW if dup_seqs else 0
+    fill_budget = _DUP_FILL_WINDOW if dups else 0
 
     def dup_fill_wanted(at_cycle: int) -> bool:
         if fill_budget <= 0:
             return False
-        state._sync()  # a duplication may just have mutated the graph
-        limit = at_cycle + 1
-        for s in dup_seqs:
-            if seq_status[s] == _SEQ_ISSUED:
-                continue
-            i = seq_idx[s]
-            if i < 0 or (state.deps_satisfied_idx(i)
-                         and state.earliest_start_idx(i) <= limit):
+        state.sync()  # a duplication may just have mutated the graph
+        blocked, earliest = state.blocked, state.earliest
+        for s in dups:
+            i = idx[s]
+            if not issued[s] and (i < 0 or (not blocked[i] and
+                                            earliest[i] <= at_cycle + 1)):
                 return True
         return False
 
-    def trace_snapshot(chosen_seq: int, with_term: bool):
-        """The sorted ready list, for issue tracing."""
-        snap = queue.ready_seqs(include_term=with_term)
-        pos = snap.index(chosen_seq)
-        keys = {id(queue.cands[s].ins): nested_keys[s] for s in snap}
-        return ([queue.cands[s] for s in snap], pos,
-                lambda c: keys[id(c.ins)])
-
-    term_idx = -1 if terminator is None else state.index_of(terminator)
+    blocks_motion = live_tracker.blocks_motion
     unit_counts = [machine.unit_count(unit) for unit in _UNIT_LIST]
     cycle = 0
-    done = not own_remaining
-    try:
-        while not done:
-            queue.begin_cycle(cycle)
-            free = unit_counts.copy()
-            budget = machine.total_issue_width
-            issued_this_cycle = False
-            issued_count = 0
-            cycle_traced = False
-            hold_for_dup = dup_fill_wanted(cycle)
+    done = not n_own
+    while not done:
+        free = unit_counts.copy()
+        budget = machine.total_issue_width
+        issued_count = 0
+        version = pdg.ddg.version
+        hold_for_dup = dup_fill_wanted(cycle)
 
-            progress = True
-            while progress and budget > 0:
-                progress = False
-                queue.scan_start()
-                while True:
-                    seq = queue.next_evaluation()
-                    if seq < 0:
-                        break
-                    _judge_speculative(seq, queue, live_tracker, label,
-                                       pdg, rename_on_demand, vetoes_logged,
-                                       tracer, metrics)
-                term_ready = (
-                    terminator is not None
-                    and not hold_for_dup
-                    and own_remaining == {term_id}
-                    and (term_idx < 0
-                         or (state.deps_satisfied_idx(term_idx)
-                             and state.earliest_start_idx(term_idx)
-                             <= cycle))
-                )
+        first_scan = True
+        while budget > 0:
+            # one scan point: the ready list in collection order
+            state.sync()
+            blocked = state.blocked
+            earliest = state.earliest
+            ready = []
+            for seq in walk:
+                i = idx[seq]
+                if i >= 0 and (blocked[i] or earliest[i] > cycle):
+                    continue
+                if veto[seq] and blocks_motion(cands[seq].ins, label):
+                    if not _renamed_past_veto(
+                            cands[seq], label, pdg, live_tracker,
+                            rename_on_demand, vetoes_logged, tracer,
+                            metrics):
+                        continue
+                    # judge the rest of the scan on the renamed graph
+                    state.sync()
+                    blocked = state.blocked
+                    earliest = state.earliest
+                ready.append(seq)
+            term_ready = (
+                own_left == 1 and term >= 0 and not hold_for_dup
+                and (term_idx < 0 or (not blocked[term_idx]
+                                      and earliest[term_idx] <= cycle))
+            )
+            if first_scan and observing:
+                # the first scan point of the cycle is the pressure
+                # snapshot: later ones see candidates unlocked mid-cycle
+                n_ready = len(ready) + term_ready
+                if tracer.enabled:
+                    tracer.emit(CycleAdvance(label=label, cycle=cycle,
+                                             ready=n_ready))
                 if metrics.enabled:
-                    metrics.inc("sched.queue.scan_points")
-                    metrics.inc("sched.queue.seed_scan_visits", unissued)
-                if not cycle_traced and observing:
-                    # the first scan point of the cycle is the pressure
-                    # snapshot: later ones see candidates unlocked mid-cycle
-                    cycle_traced = True
-                    n_ready = queue.ready_count + (1 if term_ready else 0)
+                    metrics.observe("sched.ready", n_ready)
+            first_scan = False
+            seq = _select(ready, rows, units, free)
+            # the terminator closes the block: it issues last, and only
+            # when it outranks every other choice
+            if (term_ready and free[units[term]] > 0
+                    and (seq < 0 or rows[term] < rows[seq])):
+                seq = term
+            if seq >= 0:
+                # issue!
+                cand = cands[seq]
+                ins = cand.ins
+                free[units[seq]] -= 1
+                budget -= 1
+                if tracer.enabled:
+                    ranked = sorted([term, *ready] if term_ready else ready,
+                                    key=rows.__getitem__)
+                    pos = ranked.index(seq)
+                    _trace_issue(tracer, label, cycle, machine, cands, rows,
+                                 seq, ranked[pos + 1]
+                                 if pos + 1 < len(ranked) else -1)
+                issued[seq] = 1
+                if seq != term:
+                    walk.remove(seq)
+                i = idx[seq]
+                if i >= 0:
+                    state.mark_issued_idx(i, cycle)
+                issued_order.append(ins)
+                if seq < n_own:
+                    own_left -= 1
+                issued_count += 1
+                if cand.home != label:
+                    is_spec = not cand.useful and not cand.duplicate_into
+                    report.motions.append(Motion(
+                        ins.uid, ins.opcode.mnemonic,
+                        cand.home, label, is_spec,
+                        duplicated_into=cand.duplicate_into or (),
+                    ))
                     if tracer.enabled:
-                        tracer.emit(CycleAdvance(label=label, cycle=cycle,
-                                                 ready=n_ready))
+                        tracer.emit(MotionRecorded(
+                            uid=ins.uid,
+                            opcode=ins.opcode.mnemonic,
+                            src=cand.home, dst=label, speculative=is_spec,
+                            duplicated_into=cand.duplicate_into or ()))
                     if metrics.enabled:
-                        metrics.observe("sched.ready", n_ready)
-                seq = queue.select(free)
-                if (term_ready and free[seq_units[term_seq]] > 0
-                        and (seq < 0 or pkeys[term_seq] < pkeys[seq])):
-                    seq = term_seq
-                if seq >= 0:
-                    # issue!
-                    cand = queue.cands[seq]
-                    ins = cand.ins
-                    free[seq_units[seq]] -= 1
-                    budget -= 1
-                    if tracer.enabled:
-                        ready_cands, pos, key_fn = trace_snapshot(
-                            seq, term_ready)
-                    if seq == term_seq:
-                        queue.retire_terminator()
-                    else:
-                        queue.pop_issue(seq)
-                    i = seq_idx[seq]
-                    if i >= 0:
-                        state.mark_issued_idx(i, cycle)
-                    issued_order.append(ins)
-                    unissued -= 1
-                    own_remaining.discard(id(ins))
-                    issued_this_cycle = True
-                    issued_count += 1
-                    progress = True
-                    if tracer.enabled:
-                        _trace_issue(tracer, label, cycle, cand, machine,
-                                     ready_cands, pos, key_fn)
-                    if cand.home != label:
-                        is_spec = not cand.useful and not cand.duplicate_into
-                        report.motions.append(Motion(
-                            ins.uid, ins.opcode.mnemonic,
-                            cand.home, label, is_spec,
-                            duplicated_into=cand.duplicate_into or (),
-                        ))
-                        if tracer.enabled:
-                            tracer.emit(MotionRecorded(
-                                uid=ins.uid,
-                                opcode=ins.opcode.mnemonic,
-                                src=cand.home, dst=label, speculative=is_spec,
-                                duplicated_into=cand.duplicate_into or ()))
-                        if metrics.enabled:
-                            metrics.inc(
-                                "sched.motions.speculative" if is_spec
-                                else "sched.motions.duplicated"
-                                if cand.duplicate_into
-                                else "sched.motions.useful")
-                        func.block(cand.home).remove(ins)
-                        if cand.duplicate_into:
-                            _place_duplicates(pdg, state, cand, report)
-                        # Any upward motion extends the moved definition's
-                        # live range down to its old home; record it so later
-                        # speculative legality checks see fresh liveness.
-                        live_tracker.record_motion(ins, cand.home, label)
-                        queue.note_liveness_grown(ins.reg_defs())
-                    if ins is terminator:
-                        done = True
-                if (not own_remaining and terminator is None
-                        and not dup_fill_wanted(cycle)):
-                    done = True
-                    break
-                if done:
-                    break
-
-            if tracer.enabled and issued_count:
-                used = {}
-                for unit_idx, unit in enumerate(_UNIT_LIST):
-                    busy = unit_counts[unit_idx] - free[unit_idx]
-                    if busy > 0:
-                        used[unit.value] = busy
-                tracer.emit(UnitOccupancy(label=label, cycle=cycle, used=used,
-                                          issued=issued_count))
-            if done:
-                report.block_cycles[label] = cycle + 1
+                        metrics.inc(
+                            "sched.motions.speculative" if is_spec
+                            else "sched.motions.duplicated"
+                            if cand.duplicate_into
+                            else "sched.motions.useful")
+                    func.block(cand.home).remove(ins)
+                    if cand.duplicate_into:
+                        _place_duplicates(pdg, state, cand, report)
+                    # Any upward motion extends the moved definition's
+                    # live range down to its old home; record it so later
+                    # speculative legality checks see fresh liveness.
+                    live_tracker.record_motion(ins, cand.home, label)
+                done = seq == term
+            if (not own_left and terminator is None
+                    and not dup_fill_wanted(cycle)):
+                done = True
+            if done or seq < 0:
                 break
-            if not own_remaining or own_remaining == {term_id}:
-                fill_budget -= 1  # this cycle was borrowed for duplication
-            # stuck after an idle cycle unless something issuable is
-            # ready, some start lies ahead, or a duplication hold keeps
-            # the block open (it expires with the fill budget)
-            if not (issued_this_cycle or hold_for_dup or queue.expecting
-                    or (own_remaining == {term_id} and term_idx >= 0
-                        and state.deps_satisfied_idx(term_idx)
-                        and state.earliest_start_idx(term_idx) > cycle)
-                    or queue.select(unit_counts) >= 0):
-                stuck = sorted(f"I{pending[i].ins.uid}"
-                               for i in own_remaining)
-                raise RuntimeError(
-                    f"scheduler stalled in block {label}: remaining own "
-                    f"instructions {stuck} never became ready"
-                )
-            cycle += 1
-    finally:
-        queue.detach()
+
+        if tracer.enabled and issued_count:
+            used = {}
+            for unit_idx, unit in enumerate(_UNIT_LIST):
+                busy = unit_counts[unit_idx] - free[unit_idx]
+                if busy > 0:
+                    used[unit.value] = busy
+            tracer.emit(UnitOccupancy(label=label, cycle=cycle, used=used,
+                                      issued=issued_count))
+        if done:
+            report.block_cycles[label] = cycle + 1
+            break
+        if not own_left or (own_left == 1 and term >= 0):
+            fill_budget -= 1  # this cycle was borrowed for duplication
+        # stuck after an idle cycle unless a duplication hold keeps the
+        # block open (it expires with the fill budget), a rename changed
+        # the graph, something ready has a unit on this machine, or some
+        # start lies ahead
+        if not (issued_count or hold_for_dup or pdg.ddg.version != version
+                or _select(ready, rows, units, unit_counts) >= 0
+                or _waiting_on_time(walk, idx, state, cycle)
+                or (own_left == 1 and term_idx >= 0
+                    and _waiting_on_time([term], idx, state, cycle))):
+            stuck = sorted(f"I{cands[s].ins.uid}"
+                           for s in range(n_own) if not issued[s])
+            raise RuntimeError(
+                f"scheduler stalled in block {label}: remaining own "
+                f"instructions {stuck} never became ready"
+            )
+        cycle += 1
 
     block.instrs = issued_order
     if tracer.enabled:
@@ -471,57 +446,56 @@ def _schedule_block(
         metrics.inc("sched.blocks")
 
 
-def _check_priority_keys(keys: list) -> None:
-    """Hold a custom ``priority_fn`` to the contract :func:`pack_rows`
-    relies on: tuples of ints, one length for every instruction (a
-    shorter row would be truncated, a float would not pack)."""
-    width = len(keys[0]) if keys else 0
-    for key in keys:
-        if not (isinstance(key, tuple) and len(key) == width
-                and all(isinstance(v, int) for v in key)):
-            raise TypeError(
-                "priority_fn must return a tuple of ints of one length "
-                "for every instruction, fixed for the block pass; got "
-                f"{key!r} beside {keys[0]!r}")
+def _select(ready: list[int], rows: list, units: list[int],
+            free: list[int]) -> int:
+    """The Section 5.2 pick from a ready list in collection order: the
+    candidate with the smallest priority row whose unit has a free slot,
+    the earlier one on a tie; -1 when none can issue."""
+    best = -1
+    for seq in ready:
+        if free[units[seq]] > 0 and (best < 0 or rows[seq] < rows[best]):
+            best = seq
+    return best
 
 
-def _judge_speculative(seq, queue, live_tracker, label, pdg,
-                       rename_on_demand, vetoes_logged, tracer, metrics):
-    """Judge one speculative candidate's Section 5.3 veto, exactly as the
-    Section 5.1 scan would at the same scan point: pass -> heap, veto ->
-    rename attempt (Section 4.2) or park."""
-    cand = queue.cands[seq]
+def _waiting_on_time(seqs, idx, state: DenseDependenceState,
+                     cycle: int) -> bool:
+    """Has one of ``seqs`` every dependence met but its earliest start
+    still ahead of ``cycle``?"""
+    blocked, earliest = state.blocked, state.earliest
+    return any(idx[s] >= 0 and not blocked[idx[s]]
+               and earliest[idx[s]] > cycle for s in seqs)
+
+
+def _renamed_past_veto(cand: Candidate, label: str, pdg: RegionPDG,
+                       live_tracker: LiveOnExitTracker,
+                       rename_on_demand: bool, vetoes_logged: set[int],
+                       tracer, metrics) -> bool:
+    """A speculative candidate the Section 5.3 veto keeps out of
+    ``label``: True when a Section 4.2 rename of its clashing definitions
+    admits it after all (the rename changes the graph); otherwise the
+    veto is reported, once per candidate per block pass."""
     ins = cand.ins
-    if not live_tracker.blocks_motion(ins, label):
-        queue.promote(seq)
-        return
     if not rename_on_demand:
         _note_veto(tracer, metrics, vetoes_logged, live_tracker, cand, label)
-        queue.park(seq)
-        return
+        return False
     observing = tracer.enabled or metrics.enabled
     regs = live_tracker.blocking_regs(ins, label) if observing else ()
-    renamed = try_rename_for_motion(
-        ins, pdg.func.block(cand.home), label, live_tracker,
-        pdg.ddg, pdg.func, pdg.machine,
-    )
-    if not renamed:
+    if not try_rename_for_motion(ins, pdg.func.block(cand.home), label,
+                                 live_tracker, pdg.ddg, pdg.func,
+                                 pdg.machine):
         _note_veto(tracer, metrics, vetoes_logged, live_tracker,
                    cand, label, regs=regs)
-        queue.park(seq)
-        return
+        return False
     # the rename mutated the instruction (and the DDG), so this veto
     # cannot re-trigger: one event per successful rename
-    if observing:
-        if tracer.enabled:
-            tracer.emit(SpeculationRenamed(
-                label=label, uid=ins.uid,
-                opcode=ins.opcode.mnemonic, home=cand.home,
-                regs=tuple(str(r) for r in regs)))
-        if metrics.enabled:
-            metrics.inc("sched.speculation.renamed")
-    queue.promote(seq)
-    queue.note_graph_mutation()
+    if tracer.enabled:
+        tracer.emit(SpeculationRenamed(
+            label=label, uid=ins.uid, opcode=ins.opcode.mnemonic,
+            home=cand.home, regs=tuple(str(r) for r in regs)))
+    if metrics.enabled:
+        metrics.inc("sched.speculation.renamed")
+    return True
 
 
 def _note_block_entry(tracer, metrics, label: str, carry_cycles: int | None,
@@ -551,10 +525,12 @@ def _note_block_entry(tracer, metrics, label: str, carry_cycles: int | None,
         metrics.inc("sched.candidates.duplication", dup)
 
 
-def _trace_issue(tracer, label: str, cycle: int, cand: Candidate, machine,
-                 ready: list[Candidate], pos: int, sort_key) -> None:
-    """Emit the issue event and, when a runner-up was waiting, which step
-    of the decision order separated the two."""
+def _trace_issue(tracer, label: str, cycle: int, machine, cands, rows,
+                 seq: int, runner: int) -> None:
+    """Emit the issue of slot ``seq`` and, when a runner-up ``runner``
+    was waiting (-1: none), which step of the decision order separated
+    the two."""
+    cand = cands[seq]
     klass = ("own" if cand.home == label
              else "useful" if cand.useful
              else "duplicated" if cand.duplicate_into
@@ -563,16 +539,11 @@ def _trace_issue(tracer, label: str, cycle: int, cand: Candidate, machine,
                       opcode=cand.ins.opcode.mnemonic,
                       unit=cand.ins.unit.value, home=cand.home, klass=klass,
                       exec_cycles=machine.exec_time(cand.ins)))
-    if pos + 1 < len(ready):
-        runner_up = ready[pos + 1]
-        winner_key, runner_key = sort_key(cand), sort_key(runner_up)
-        # flatten (dup-class, priority-tuple) so the step names line up
-        step = deciding_step((winner_key[0], *winner_key[1]),
-                             (runner_key[0], *runner_key[1]),
-                             _FULL_PRIORITY_STEPS)
+    if runner >= 0:
+        step = deciding_step(rows[seq], rows[runner], _FULL_PRIORITY_STEPS)
         tracer.emit(PriorityDecision(
             label=label, cycle=cycle, winner_uid=cand.ins.uid,
-            runner_up_uid=runner_up.ins.uid, step=step))
+            runner_up_uid=cands[runner].ins.uid, step=step))
 
 
 def _note_veto(tracer, metrics, vetoes_logged: set[int] | None,

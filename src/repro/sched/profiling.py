@@ -105,9 +105,9 @@ def make_profile_priority_fn(profile: BranchProfile, func: Function):
     normalised against the hottest block so loop nests keep sensible
     relative weights.
 
-    Like every ``priority_fn`` it is static: each component (bucket
-    included -- homes and counts are snapshotted here) is an int fixed for
-    the duration of a block pass, so the scheduler packs the keys.
+    Homes and counts are snapshotted here, so a candidate's key stays
+    the same for as long as the profile does; the scheduler takes each
+    key once per block pass.
     """
     home_of = {id(ins): block.label
                for block in func.blocks for ins in block.instrs}

@@ -260,18 +260,25 @@ def verify_schedule(
                 ddg_builder=build_region_ddg)
         return pdgs[spec.header_node]
 
-    _check_placement(report, before, before_at, after_at, dup_uids,
-                     region_of, pdg_of, level, max_speculation,
-                     motions, allow_duplication)
-    _check_dependences(report, regions, _changed_labels(before, after),
-                       pdg_of, after_at)
-    _check_blocks(report,
-                  [b for b in before.blocks if b.label not in region_of],
-                  machine, after_at)
+    next_uid = before._next_uid
+    try:
+        _check_placement(report, before, before_at, after_at, dup_uids,
+                         region_of, pdg_of, level, max_speculation,
+                         motions, allow_duplication)
+        _check_dependences(report, regions, _changed_labels(before, after),
+                           pdg_of, after_at)
+        _check_blocks(report,
+                      [b for b in before.blocks if b.label not in region_of],
+                      machine, after_at)
 
-    # -- speculation replay ---------------------------------------------
-    _replay_motions(report, before, after_at, motions, region_of, pdg_of,
-                    live_at_exit)
+        # -- speculation replay -----------------------------------------
+        _replay_motions(report, before, after_at, motions, region_of,
+                        pdg_of, live_at_exit)
+    finally:
+        # each collapsed inner loop's barrier drew a uid from the
+        # snapshot's counter; hand them back, so that verifying leaves
+        # ``before`` as it was given (barriers are matched by identity)
+        before._next_uid = next_uid
 
     return _finish(report, raise_on_error)
 
@@ -427,8 +434,8 @@ def _check_dependences(
 ) -> None:
     """Every pre-scheduling dependence of a region with a changed block
     still runs forward.  A collapsed inner loop stands at its pseudo-block
-    and is matched by identity: its barrier's uid was drawn from
-    ``before``'s counter and may name a copy the sweep added."""
+    and is matched by identity: its barrier's uid was drawn past
+    ``before``'s last and may name a copy the sweep added."""
     for spec in regions:
         if changed.isdisjoint(spec.member_labels):
             continue  # nothing in it moved, so no edge of it can break

@@ -141,7 +141,6 @@ def test_format_stats_without_metrics_only_tables():
 
 def test_format_stats_soa_core_block():
     m = MetricsCollector()
-    m.inc("sched.soa.packed_keys", 43)
     m.inc("sched.soa.dense_bytes", 760)
     m.inc("sched.soa.mask_queries", 10)
     m.inc("sched.soa.mask_updates", 7)
@@ -150,12 +149,17 @@ def test_format_stats_soa_core_block():
     text = format_stats("demo.c", "rs6k", "speculative", [("f", _Report())],
                         m)
     assert "struct-of-arrays core" in text
-    assert "priority keys packed to ints" in text
+    assert "packed" not in text
     assert "dense-table bytes interned" in text
     assert "liveness queries from bitmask" in text
     assert "interning passes" in text
     assert "0.60 ms total, max 0.50 ms" in text
-    # the block is omitted entirely when the SoA engine never ran
+    # the block is omitted entirely when the SoA engine never ran, and
+    # any one of its counters opens it
     assert "struct-of-arrays" not in format_stats(
         "demo.c", "rs6k", "speculative", [("f", _Report())],
         MetricsCollector())
+    only = MetricsCollector()
+    only.inc("sched.soa.mask_queries", 3)
+    assert "struct-of-arrays core" in format_stats(
+        "demo.c", "rs6k", "speculative", [("f", _Report())], only)

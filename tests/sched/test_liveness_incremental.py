@@ -4,10 +4,7 @@ The :class:`LiveOnExitTracker` answers "which blocks lie on a forward
 path from the motion target to the motion source" from interned
 per-region reachability bitsets.  On randomized DAG regions and
 randomized motion sequences its live-on-exit sets must match a naive
-from-scratch recomputation of the paper's rule.  A second property pins
-the ready queue's targeted veto invalidation: after any motion, the set
-of heap residents flagged for re-judgment is exactly the set whose
-definitions joined a live-out set the candidate is judged against.
+from-scratch recomputation of the paper's rule.
 """
 
 import random
@@ -117,48 +114,3 @@ def test_blocks_motion_follows_dynamic_updates():
     tracker.record_motion(first, "T", "A")
     assert tracker.blocks_motion(second, "A")
     assert tracker.blocking_regs(second, "A") == (x,)
-
-
-def test_targeted_invalidation_flags_exactly_the_affected_residents():
-    """The ready queue's reg -> candidate index re-flags a speculative
-    heap resident iff a motion made one of its definitions live; an
-    unrelated motion must not disturb it."""
-    from repro.machine.configs import CONFIGS
-    from repro.pdg.data_deps import build_block_ddg
-    from repro.ir.basic_block import BasicBlock
-    from repro.obs.metrics import MetricsCollector
-    from repro.sched.candidates import Candidate
-    from repro.sched.soa import _READY, DenseDependenceState, DenseReadyQueue
-
-    machine = CONFIGS["rs6k"]()
-    home = BasicBlock("H", [defining([gpr(1)]), defining([gpr(2)])])
-    spec_a, spec_b = home.instrs
-    ddg = build_block_ddg(home, machine)
-    state = DenseDependenceState(ddg, machine)
-    state.begin_block()
-    metrics = MetricsCollector()
-    queue = DenseReadyQueue(
-        state,
-        [Candidate(spec_a, "H", useful=False),
-         Candidate(spec_b, "H", useful=False)],
-        [0, 1],
-        None, metrics)
-    seq_a, seq_b = 0, 1
-    try:
-        queue.begin_cycle(0)
-        queue.scan_start()
-        # both speculative candidates need judgment; promote both
-        while (seq := queue.next_evaluation()) >= 0:
-            queue.promote(seq)
-        assert queue.ready_count == 2
-        queue.note_liveness_grown([gpr(1)])    # only spec_a's def
-        assert queue._flagged[seq_a] and not queue._flagged[seq_b]
-        queue.scan_start()
-        flagged = queue.next_evaluation()
-        assert flagged == seq_a                # re-judged...
-        queue.promote(flagged)
-        assert queue.next_evaluation() < 0     # ...and nothing else
-        assert queue.status[seq_b] == _READY
-        assert metrics.counters["sched.queue.liveness_flags"] == 1
-    finally:
-        queue.detach()

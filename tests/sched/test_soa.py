@@ -5,8 +5,7 @@ interning of instructions to array indices (``DenseDDG.index``) and the
 CSR flattening of the dependence adjacency with precomputed edge weights.
 These properties pin them against the object graph on randomized real
 regions (the differential fuzzer's program generator, compiled to IR),
-plus the cache-invalidation contract (``DDG.version`` bumps) and the
-order-preservation of :func:`pack_rows`.
+plus the cache-invalidation contract (``DDG.version`` bumps).
 """
 
 from hypothesis import given, settings
@@ -17,7 +16,6 @@ from repro.machine.configs import CONFIGS
 from repro.pdg.data_deps import DepKind, build_block_ddg
 from repro.sched.candidates import ScheduleLevel
 from repro.sched.regions import build_region_pdg, find_regions
-from repro.sched.soa import pack_rows
 from repro.verify.generator import generate_program
 
 
@@ -52,7 +50,7 @@ def test_interning_round_trips_uid_and_index(seed):
             assert dense.instrs[dense.index[id(ins)]] is ins
         assert len(dense.index) == dense.n  # bijection: no id collisions
         # uids are unique region-wide, so uid round-trips through the
-        # interning too (the packed priority rows rely on this)
+        # interning too (the priority rows' last field relies on this)
         uids = {ins.uid for ins in dense.instrs}
         assert len(uids) == dense.n
 
@@ -110,18 +108,3 @@ a:
 
     other = CONFIGS["ss4"]()
     assert ddg.to_dense(other) is not second    # keyed on machine identity
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_pack_rows_preserves_lexicographic_order(data):
-    width = data.draw(st.integers(min_value=1, max_value=5))
-    rows = data.draw(st.lists(
-        st.tuples(*[st.integers(min_value=-(1 << 20), max_value=1 << 20)
-                    for _ in range(width)]),
-        min_size=1, max_size=30))
-    packed = pack_rows(rows)
-    for a, pa in zip(rows, packed):
-        for b, pb in zip(rows, packed):
-            assert (a < b) == (pa < pb)
-            assert (a == b) == (pa == pb)

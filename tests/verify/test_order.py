@@ -28,7 +28,7 @@ from repro.sched import bb_sched, global_sched, heuristics, soa
 from repro.sched.candidates import Candidate, ScheduleLevel
 from repro.sched.driver import global_schedule
 from repro.sched.profiling import BranchProfile, make_profile_priority_fn
-from repro.verify import ScheduleVerificationError, order
+from repro.verify import ScheduleVerificationError, order, verify_schedule
 from repro.verify.fuzz import derive_seed
 from repro.verify.generator import generate_program
 from repro.verify.order import BlockJudge, check_order, d_and_cp, separation
@@ -216,17 +216,40 @@ def test_a_doctored_trace_is_rejected(doctor):
     assert not report.ok
 
 
-@pytest.mark.parametrize("bad_key", [
-    # rows of unequal length: packing would truncate them to the shortest
-    lambda ins, *, useful, priorities: (0, 1, -3, 7)[:2 + ins.uid % 3],
-    # a float field has no bit_length
-    lambda ins, *, useful, priorities: (0, ins.uid / 2),
-], ids=["variable-length", "float"])
-def test_priority_fn_contract_is_enforced(bad_key):
-    text = _unscheduled_functions(MINMAX_C)[0]
-    with pytest.raises(TypeError, match="tuple of ints of one length"):
-        global_schedule(parse_function(text), CONFIGS["rs6k"](),
-                        ScheduleLevel.SPECULATIVE, priority_fn=bad_key)
+#: keys the scheduler compares as tuples, like the checker: rows of
+#: unequal length (a shorter row ranks ahead of any row it prefixes) and
+#: float fields
+RAGGED_AND_FLOAT = {
+    "variable-length": lambda ins, *, useful, priorities:
+        (0, 1, -3, 7)[:2 + ins.uid % 3],
+    "float": lambda ins, *, useful, priorities: (0, ins.uid / 2),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RAGGED_AND_FLOAT))
+def test_ragged_and_float_keys_pass_the_order_check(key):
+    """The engine and the checker compare the same key tuples, ties
+    broken in collection order, so a sweep under either order is legal
+    and keeps that order."""
+    order = RAGGED_AND_FLOAT[key]
+    regions = 0
+    for program in ("minmax", 0, 3, 7):
+        source = (MINMAX_C if program == "minmax" else
+                  generate_program(derive_seed(1991, program)).source)
+        for text in _unscheduled_functions(source):
+            func = parse_function(text)
+            machine, trace = CONFIGS["rs6k"](), CollectingTracer()
+            before = func.clone()
+            sweep = global_schedule(func, machine, SPEC, tracer=trace,
+                                    priority_fn=order)
+            verify_schedule(before, func, machine, level=SPEC,
+                            motions=sweep.motions)
+            report = check_order(before, func, trace.events, machine,
+                                 level=SPEC, priority_fn=order,
+                                 raise_on_error=False)
+            assert report.ok, report.format()
+            regions += report.checked_regions
+    assert regions > 0
 
 
 # -- seeded scheduler bugs -------------------------------------------------
@@ -273,15 +296,17 @@ def test_rejects_cp_without_execution_time(monkeypatch):
 
 
 def test_rejects_skipping_the_first_issue_opportunity(monkeypatch):
-    real = soa.DenseReadyQueue.select
+    """Every block pass lets its first chance to issue go by."""
+    real = global_sched._select
+    passes = []  # each pass's priority rows, kept alive so they stay apart
 
-    def lazy(self, free):
-        if not getattr(self, "skipped", False):
-            self.skipped = True
+    def lazy(ready, rows, units, free):
+        if not any(rows is seen for seen in passes):
+            passes.append(rows)
             return -1
-        return real(self, free)
+        return real(ready, rows, units, free)
 
-    monkeypatch.setattr(soa.DenseReadyQueue, "select", lazy)
+    monkeypatch.setattr(global_sched, "_select", lazy)
     assert_rejected()
 
 
@@ -291,16 +316,15 @@ def test_rejects_issue_without_earliest_start_folding(monkeypatch):
     def no_fold(self, i, cycle):
         first = not self._fulfilled[i]
         self._fulfilled[i] = 1
+        if first:
+            self._n_fulfilled += 1
         if self._local[i] == soa._NEVER:
             self._pass_issued.append(i)
         self._local[i] = cycle
         dense = self._dense
         for k in range(dense.succ_off[i], dense.succ_off[i + 1]):
-            j = dense.succ_idx[k]
             if first:
-                self._blocked[j] -= 1
-                if self._blocked[j] == 0 and self._listener is not None:
-                    self._listener(j)
+                self.blocked[dense.succ_idx[k]] -= 1
 
     monkeypatch.setattr(soa.DenseDependenceState, "mark_issued_idx", no_fold)
     assert_rejected()

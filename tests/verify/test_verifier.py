@@ -330,3 +330,27 @@ def test_inversion_in_a_region_the_sweep_left_alone_is_reported(
                              **dict(kwargs, raise_on_error=False))
     assert any(i.kind == "dependence" and i.uid == b.uid
                for i in report.issues)
+
+
+# -- the snapshot is read, never written
+
+
+def test_verifying_leaves_the_snapshot_unchanged():
+    """Building a region PDG gives each collapsed inner loop a barrier
+    with a fresh uid; the verifier builds its PDGs on ``before`` but must
+    hand the snapshot back as it got it, counter included."""
+    from repro.compiler import lower_source
+    from repro.ir.printer import format_function
+    from repro.sched.driver import global_schedule
+
+    func = lower_source(MINMAX_C)["minmax"].func
+    machine = rs6k()
+    before = func.clone()
+    sweep = global_schedule(func, machine, ScheduleLevel.SPECULATIVE)
+    next_uid, text = before._next_uid, format_function(before)
+    report = verify_schedule(before, func, machine,
+                             level=ScheduleLevel.SPECULATIVE,
+                             motions=sweep.motions)
+    assert report.checked_regions > 0
+    assert before._next_uid == next_uid
+    assert format_function(before) == text
