@@ -21,8 +21,9 @@ we use the same encoding (``LT = 0x1``, ``GT = 0x2``, ``EQ = 0x4``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 
 class RegClass(Enum):
@@ -56,43 +57,51 @@ CR_BIT_NAMES = {CR_LT: "lt", CR_GT: "gt", CR_EQ: "eq"}
 CR_NAME_BITS = {name: bit for bit, name in CR_BIT_NAMES.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class Reg:
+class Reg(tuple):
     """An immutable register operand.
 
-    Registers compare and hash by (class, index), so they can be used freely
-    as dictionary keys in dependence and liveness sets.  Indices are
-    unbounded: the front end hands out *symbolic* registers from a counter,
-    and nothing in the scheduler distinguishes them from "real" ones.
+    A register is the pair ``(rclass.index, index)``, so it compares and
+    hashes as a tuple of two ints, in C: registers are the dominant dict
+    key of the dependence and liveness layers and of the executor's
+    register file, and the hash does not depend on ``PYTHONHASHSEED``.
+    Indices are unbounded: the front end hands out *symbolic* registers
+    from a counter, and nothing in the scheduler distinguishes them from
+    "real" ones.
     """
 
-    rclass: RegClass
-    index: int
-    #: cached ``hash((rclass, index))`` -- registers are the dominant dict
-    #: key of the dependence and liveness layers, and hashing the enum
-    #: member on every lookup showed up at the top of pipeline profiles
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"register index must be >= 0, got {self.index}")
-        object.__setattr__(self, "_hash", hash((self.rclass, self.index)))
+    def __new__(cls, rclass: RegClass, index: int) -> "Reg":
+        if index < 0:
+            raise ValueError(f"register index must be >= 0, got {index}")
+        return tuple.__new__(cls, (rclass.index, index))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self) -> tuple:
+        return (self.rclass, self[1])
+
+    @property
+    def rclass(self) -> RegClass:
+        return _REG_CLASSES[self[0]]
+
+    index = property(itemgetter(1), doc="The register number.")
 
     @property
     def name(self) -> str:
         """Assembly name, e.g. ``r31``, ``f2``, ``cr7``, ``ctr``."""
-        if self.rclass is RegClass.CTR:
+        rclass = _REG_CLASSES[self[0]]
+        if rclass is RegClass.CTR:
             return "ctr"
-        return f"{self.rclass.value}{self.index}"
+        return f"{rclass.value}{self[1]}"
 
     def __str__(self) -> str:
         return self.name
 
     def __repr__(self) -> str:
         return f"Reg({self.name})"
+
+
+#: register classes by ``RegClass.index``
+_REG_CLASSES = tuple(RegClass)
 
 
 def gpr(index: int) -> Reg:

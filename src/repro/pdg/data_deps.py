@@ -52,7 +52,7 @@ class DepKind(Enum):
         return f"DepKind.{self.name}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class DepEdge:
     """A dependence ``src -> dst``: dst must start >= start(src) + weight.
 
@@ -60,7 +60,8 @@ class DepEdge:
     identity-compared instructions and ``_by_pair`` keeps a single edge
     per pair, so value equality could only ever match the same object --
     while making every ``list.remove`` in the graph a field-by-field
-    scan.
+    scan.  Not frozen, so construction assigns slots directly; no code
+    mutates an edge.
 
     ``weight = exec_time(src) + delay`` for flow edges; for anti/output/
     memory edges the paper's delays are zero, but ``dst`` must still start
@@ -101,6 +102,9 @@ class DataDependenceGraph:
         self._known: set[int] = set()
         #: bumped on every edge insertion/removal (for cache invalidation)
         self.version = 0
+        #: the :attr:`version` at which the builder left every edge running
+        #: forward in :attr:`instructions` (None: not known to)
+        self.forward_version: int | None = None
         #: (version, machine, DenseDDG) cache for :meth:`to_dense`
         self._dense: tuple | None = None
 
@@ -460,6 +464,7 @@ def build_block_ddg(block: BasicBlock, machine: MachineModel,
     """Intra-block DDG (used by the basic-block scheduler)."""
     ddg = DataDependenceGraph()
     _scan_block(ddg, block, machine)
+    ddg.forward_version = ddg.version
     if reduce:
         transitive_reduce(ddg, machine)
     return ddg
@@ -482,13 +487,17 @@ def build_region_ddg(
     Each block is scanned exactly once (intra-block edges + its summary);
     cross-block dependences are then matched through per-register posting
     lists (:func:`_interblock_edges`), instead of re-scanning every
-    ``(earlier, later)`` pair.
+    ``(earlier, later)`` pair.  Instructions enter the graph block by
+    block in that topological order, so every edge runs forward in
+    ``ddg.instructions`` (:attr:`DataDependenceGraph.forward_version`),
+    which the reduction takes as its order.
     """
     ddg = DataDependenceGraph()
     for block in blocks:
         _scan_block(ddg, block, machine)
     if len(blocks) > 1:
         _interblock_edges(ddg, blocks, reachable_pairs, machine)
+    ddg.forward_version = ddg.version
     if reduce:
         transitive_reduce(ddg, machine)
     return ddg
@@ -518,8 +527,16 @@ def transitive_reduce(ddg: DataDependenceGraph,
     list-of-int-tuples instead of edge objects and id() dictionaries.
     Single-successor sources are skipped outright: a parallel multi-edge
     path would need a second out-edge to start from.
+
+    A graph as its builder left it is reduced in construction order
+    (every edge already runs forward in ``ddg.instructions``); a graph
+    mutated since is sorted first (:func:`topo_order`).  The removal set
+    is defined on the pre-removal snapshot, and every path between two
+    instructions stays between their positions in any topological order,
+    so every order removes the same edges.
     """
-    order = topo_order(ddg)
+    order = (ddg.instructions if ddg.forward_version == ddg.version
+             else topo_order(ddg))
     count = len(order)
     position = {id(ins): i for i, ins in enumerate(order)}
     exec_time = machine.exec_time

@@ -8,11 +8,13 @@ program is compiled at every :class:`ScheduleLevel` on every machine
 variant with the pipeline's self-checking mode on, so a run also fails if
 any emitted schedule is rejected by the static verifier.
 
-The front end runs once per program: the source is parsed and lowered
-once, and every combination schedules its own uid-preserving
-:meth:`~repro.ir.Function.clone` of each lowered function.  A source the
-front end rejects fails all combinations with the same ``compilation
-crashed`` line.
+The machine- and level-independent work runs once per program: the
+source is parsed and lowered once, each lowered function is
+strength-reduced once (with its IR check), and every combination
+schedules its own uid-preserving :meth:`~repro.ir.Function.clone` of the
+result with ``PipelineConfig.strength_reduce`` off.  A source the front
+end rejects, or a function the reduction fails on, fails all
+combinations with the same ``compilation crashed`` line.
 
 Timing is *not* part of the oracle (different machines time differently by
 design), but per-combination cycle counts are collected for the
@@ -32,7 +34,7 @@ from ..compiler import compile_c, lower_source, schedule_lowered  # noqa: F401
 from ..machine.configs import CONFIGS
 from ..sched.candidates import ScheduleLevel
 from ..sim.bsp import check_bsp
-from ..xform.pipeline import PipelineConfig
+from ..xform.pipeline import PipelineConfig, reduce_strength
 from .generator import GenProgram
 from .verifier import ScheduleVerificationError
 
@@ -94,10 +96,16 @@ def run_differential(
 ) -> DiffResult:
     """Compile + run ``program`` at every level on every machine and
     compare every observation against the (first machine, NONE) baseline.
+
+    Each combination's compile equals ``compile_c`` at that machine and
+    level with ``verify`` as given: the front end and strength reduction
+    run once here, and the pipeline runs per combination on copies.
     """
     result = DiffResult(program=program)
     try:
         lowered, front_error = lower_source(program.source), None
+        for compiled in lowered.values():
+            reduce_strength(compiled.func, compiled.live_at_exit)
     except Exception as exc:
         lowered, front_error = {}, exc
     for machine_name in machines:
@@ -113,7 +121,8 @@ def run_differential(
                     {name: replace(compiled, func=compiled.func.clone())
                      for name, compiled in lowered.items()},
                     machine_factory(),
-                    PipelineConfig(level=level, verify=verify),
+                    PipelineConfig(level=level, strength_reduce=False,
+                                   verify=verify),
                 )
             except ScheduleVerificationError as exc:
                 combo.error = f"verifier: {exc}"

@@ -32,7 +32,8 @@ paper allows:
   block) is judged block by block from each block's own DDG, without
   any region: with no instruction changing blocks, only intra-block
   edges can break, and a region DDG's intra-block edges are exactly its
-  blocks' DDGs;
+  blocks' DDGs.  Block by block (a local sweep, or a block outside every
+  region), only the blocks whose uid order changed get a DDG;
 * **speculation** -- replaying the recorded motions in issue order against
   a fresh :class:`~repro.sched.speculation.LiveOnExitTracker` (seeded from
   the snapshot's liveness solution, exactly like the scheduling driver),
@@ -195,6 +196,12 @@ def verify_schedule(
     ``level=ScheduleLevel.NONE`` asserts a purely local pass: any
     cross-block movement at all is reported.
 
+    The skeleton check starts with :func:`verify_function` on ``after``,
+    so a malformed ``after`` is reported as a skeleton issue; a verified
+    pipeline sweep relies on that walk and skips its own.  Dependences
+    are judged only where the sweep changed a block's uid order (see
+    the module docstring), so an identity sweep judges no edge.
+
     Returns a :class:`VerifyReport`; raises
     :class:`ScheduleVerificationError` on violations unless
     ``raise_on_error`` is false.
@@ -230,12 +237,13 @@ def verify_schedule(
     if not report.ok:
         return _finish(report, raise_on_error)
 
+    changed = _changed_labels(before, after)
     if (level is ScheduleLevel.NONE and not motions
             and all(after_at[uid].label == placed.label
                     for uid, placed in before_at.items())):
         # a local sweep: nothing to place or replay, and only intra-block
         # dependences can break
-        _check_blocks(report, before.blocks, machine, after_at)
+        _check_blocks(report, before.blocks, changed, machine, after_at)
         return _finish(report, raise_on_error)
 
     # -- per-region placement + dependence checks ------------------------
@@ -265,11 +273,10 @@ def verify_schedule(
         _check_placement(report, before, before_at, after_at, dup_uids,
                          region_of, pdg_of, level, max_speculation,
                          motions, allow_duplication)
-        _check_dependences(report, regions, _changed_labels(before, after),
-                           pdg_of, after_at)
+        _check_dependences(report, regions, changed, pdg_of, after_at)
         _check_blocks(report,
                       [b for b in before.blocks if b.label not in region_of],
-                      machine, after_at)
+                      changed, machine, after_at)
 
         # -- speculation replay -----------------------------------------
         _replay_motions(report, before, after_at, motions, region_of,
@@ -453,15 +460,20 @@ def _check_dependences(
 def _check_blocks(
     report: VerifyReport,
     blocks: list[BasicBlock],
+    changed: set[str],
     machine: MachineModel,
     after_at: dict[int, _Placed],
 ) -> None:
-    """Intra-block dependence check from each block's own DDG: every block
-    of a local sweep, and blocks outside every region (unreachable code
-    still gets the post-pass block scheduler)."""
+    """Intra-block dependence check from each block's own DDG, for the
+    blocks of ``blocks`` whose uid order changed: every block of a local
+    sweep, and blocks outside every region (unreachable code still gets
+    the post-pass block scheduler).  An unchanged block is skipped, since
+    each of its edges still runs forward in the original order."""
     from ..pdg.data_deps import build_block_ddg
 
     for block in blocks:
+        if block.label not in changed:
+            continue
         for edge in build_block_ddg(block, machine, reduce=False).edges():
             _judge(report, edge, after_at.get(edge.src.uid),
                    after_at.get(edge.dst.uid), frozenset())

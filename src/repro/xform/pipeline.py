@@ -126,6 +126,20 @@ class PipelineReport:
         return out
 
 
+def reduce_strength(
+    func: Function,
+    live_at_exit: frozenset[Reg] | None = None,
+) -> StrengthReductionReport:
+    """The strength-reduction stage: rewrite ``func`` in place, then check
+    its IR.  It depends on neither the machine nor the level, so a caller
+    that compiles one function many ways (the differential fuzz runner)
+    runs it once and schedules copies with
+    ``PipelineConfig.strength_reduce`` off."""
+    report = strength_reduce(func, live_at_exit=live_at_exit or frozenset())
+    verify_function(func)
+    return report
+
+
 def optimize(
     func: Function,
     machine: MachineModel,
@@ -231,6 +245,12 @@ def _optimize_once(
         events = CollectingTracer()
         return TeeTracer(tracer, events), events
 
+    def check_ir(before: Function | None) -> None:
+        """The IR walk after a sweep.  A verified sweep skips it:
+        ``verify_schedule`` runs the same walk as its skeleton check."""
+        if before is None:
+            verify_function(func)
+
     def check(before: Function | None, *, level: ScheduleLevel,
               motions=(), events=None, priority_fn=None) -> None:
         if before is None:
@@ -266,10 +286,7 @@ def _optimize_once(
     if config.strength_reduce:
         with phase("strength-reduce", skippable=True,
                    on_restore=analyses.invalidate):
-            strength = strength_reduce(
-                func, live_at_exit=live_at_exit or frozenset())
-            verify_function(func)
-            report.strength = strength
+            report.strength = reduce_strength(func, live_at_exit)
         analyses.invalidate()
     if config.use_counter_register:
         with phase("ctr", skippable=True, on_restore=analyses.invalidate):
@@ -284,7 +301,7 @@ def _optimize_once(
             before = snapshot()
             with phase("bb-post"):
                 bb_cycles = schedule_function_blocks(func, machine)
-                verify_function(func)
+                check_ir(before)
                 report.bb_cycles = bb_cycles
             check(before, level=ScheduleLevel.NONE)
         return finish()
@@ -334,7 +351,7 @@ def _optimize_once(
             tracer=sweep_trace,
             metrics=metrics,
         )
-        verify_function(func)
+        check_ir(before)
         report.first_pass = first_pass
     analyses.invalidate_liveness()
     check(before, level=config.level, motions=report.first_pass.motions,
@@ -384,7 +401,7 @@ def _optimize_once(
             tracer=sweep_trace,
             metrics=metrics,
         )
-        verify_function(func)
+        check_ir(before)
         report.second_pass = second_pass
     analyses.invalidate_liveness()
     check(before, level=config.level, motions=report.second_pass.motions,
@@ -395,7 +412,7 @@ def _optimize_once(
         before = snapshot()
         with phase("bb-post"):
             bb_cycles = schedule_function_blocks(func, machine)
-            verify_function(func)
+            check_ir(before)
             report.bb_cycles = bb_cycles
         check(before, level=ScheduleLevel.NONE)
 

@@ -32,6 +32,59 @@ class TestReg:
         assert gpr(3) != fpr(3)
         assert len({gpr(3), gpr(3), fpr(3)}) == 2
 
+    def test_hashes_and_compares_as_a_tuple_in_c(self):
+        assert Reg.__hash__ is tuple.__hash__
+        assert Reg.__eq__ is tuple.__eq__
+        assert not hasattr(gpr(7), "_hash")
+        assert not hasattr(gpr(7), "__dict__")
+        assert gpr(7) == Reg(RegClass.GPR, 7)
+        assert hash(gpr(7)) == hash(Reg(RegClass.GPR, 7))
+
+    def test_fields_survive_construction(self):
+        for rclass in RegClass:
+            reg = Reg(rclass, 5)
+            assert reg.rclass is rclass
+            assert reg.index == 5
+            assert isinstance(reg.index, int)
+        assert str(cr(7)) == "cr7"
+        assert repr(fpr(2)) == "Reg(f2)"
+        assert repr(CTR) == "Reg(ctr)"
+
+    def test_pickle_and_copy_round_trip(self):
+        import copy
+        import pickle
+
+        regs = [gpr(0), gpr(31), fpr(3), cr(7), CTR, gpr(123456)]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(regs, protocol))
+            assert back == regs
+            for old, new in zip(regs, back):
+                assert type(new) is Reg
+                assert new.rclass is old.rclass
+                assert new.name == old.name
+                assert hash(new) == hash(old)
+        assert copy.deepcopy(regs) == regs
+        assert copy.copy(cr(2)) == cr(2)
+
+    def test_hash_does_not_depend_on_the_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        script = ("from repro.ir import Reg, RegClass, gpr; "
+                  "print(hash(gpr(7)), hash(Reg(RegClass.CR, 2)))")
+        outputs = []
+        for seed in ("0", "4"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-c", script],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=60, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0].strip()
+        assert outputs[0] == outputs[1]
+
     def test_usable_as_dict_key(self):
         d = {gpr(1): "a", cr(1): "b"}
         assert d[gpr(1)] == "a"

@@ -180,6 +180,75 @@ b:
 
 
 class TestTransitiveReduction:
+    def test_build_path_never_sorts(self, figure2, monkeypatch):
+        """The builders add instructions in topological block order, so
+        the reduction takes that order instead of sorting the graph."""
+        import repro.pdg.data_deps as data_deps
+        from repro.bench.programs import MINMAX_C
+        from repro.compiler import compile_c
+        from repro.xform.pipeline import PipelineConfig
+
+        def no_sort(ddg):
+            raise AssertionError("the build path sorted a DDG")
+
+        monkeypatch.setattr(data_deps, "topo_order", no_sort)
+        pdg = RegionPDG(figure2, rs6k(), list(figure2.blocks), "CL.0")
+        assert pdg.ddg.edge_count() > 0
+        for block in figure2.blocks:
+            build_block_ddg(block, rs6k())
+        config = PipelineConfig(verify=True)
+        unit = compile_c(MINMAX_C, config=config)["minmax"]
+        assert unit.report.motions
+
+    def test_every_topological_order_removes_the_same_edges(
+            self, figure2, monkeypatch):
+        import repro.pdg.data_deps as data_deps
+
+        def remaining(ddg):
+            return sorted((e.src.uid, e.dst.uid, e.kind.value, e.delay)
+                          for e in ddg.iter_edges())
+
+        machine = rs6k()
+        built = [RegionPDG(figure2, machine, list(figure2.blocks), "CL.0",
+                           reduce_ddg=False).ddg for _ in range(2)]
+        construction, sorted_first = built
+        assert topo_order(sorted_first) != sorted_first.instructions
+        sorts = []
+
+        def spy(ddg, _real=data_deps.topo_order):
+            sorts.append(ddg)
+            return _real(ddg)
+
+        monkeypatch.setattr(data_deps, "topo_order", spy)
+        sorted_first.forward_version = None  # as if mutated since
+        removed = [transitive_reduce(ddg, machine) for ddg in built]
+        assert sorts == [sorted_first]
+        assert removed[0] == removed[1] > 0
+        assert remaining(construction) == remaining(sorted_first)
+
+    def test_mutated_graph_is_sorted_first(self, monkeypatch):
+        import repro.pdg.data_deps as data_deps
+
+        func = parse_function("""
+function heavy
+a:
+    C  cr0=r1,r2
+    LR r3=r1
+    BT a,cr0,0x1/lt
+""")
+        ddg = build_block_ddg(func.block("a"), rs6k(), reduce=False)
+        cmp_i, lr_i, _ = func.block("a").instrs
+        ddg.add_edge(cmp_i, lr_i, DepKind.OUTPUT, 0)
+        sorts = []
+
+        def spy(graph, _real=data_deps.topo_order):
+            sorts.append(graph)
+            return _real(graph)
+
+        monkeypatch.setattr(data_deps, "topo_order", spy)
+        transitive_reduce(ddg, rs6k())
+        assert sorts == [ddg]
+
     def test_keeps_heavier_direct_edge(self):
         # a: compare feeding both a use and (transitively) a branch --
         # the direct compare->branch edge carries delay 3 and must be kept

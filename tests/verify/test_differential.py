@@ -161,3 +161,47 @@ def test_rejected_source_fails_every_combo_as_compile_c_did():
         for level in ("none", "useful", "speculative")
     ]
     assert [c.error for c in result.combos] == [f"compile: {error}"] * 9
+
+
+# -- strength reduction runs once per lowered function
+
+
+def test_strength_reduction_runs_once_per_function(monkeypatch):
+    import repro.xform.pipeline as pipeline
+
+    program = generate_program(derive_seed(1991, 3))  # loops, two functions
+    reduced = []
+
+    def counted(func, *, live_at_exit, _real=pipeline.strength_reduce):
+        reduced.append(func.name)
+        return _real(func, live_at_exit=live_at_exit)
+
+    monkeypatch.setattr(pipeline, "strength_reduce", counted)
+    result = run_differential(program)
+    assert result.ok, result.format_failures()
+    assert len(result.combos) == 9
+    assert sorted(reduced) == sorted(f.name for f in program.functions)
+
+
+def test_failing_reduction_fails_every_combo_with_one_line(monkeypatch):
+    """The reduction runs before any combo, so one failure fails all
+    nine, as a front-end error does."""
+    import repro.xform.pipeline as pipeline
+
+    state = {"raised": False}
+
+    def fails_once(func, *, live_at_exit, _real=pipeline.strength_reduce):
+        if not state["raised"]:
+            state["raised"] = True
+            raise RuntimeError("reducer bug")
+        return _real(func, live_at_exit=live_at_exit)
+
+    monkeypatch.setattr(pipeline, "strength_reduce", fails_once)
+    result = run_differential(generate_program(3))
+    error = "RuntimeError('reducer bug')"
+    assert result.failures == [
+        f"[{machine}/{level}] compilation crashed: {error}"
+        for machine in ("rs6k", "scalar", "ss2")
+        for level in ("none", "useful", "speculative")
+    ]
+    assert [c.error for c in result.combos] == [f"compile: {error}"] * 9

@@ -54,11 +54,38 @@ def test_clean_schedules_verify(source, level):
 
 
 def test_identity_schedule_verifies():
-    """before == after with no motions is trivially legal."""
+    """before == after with no motions is trivially legal; no block
+    changed its order, so no edge needs judging."""
     result = compile_c(TWO_ARMS, level=ScheduleLevel.NONE)
     func = result["f"].func
     report = verify_schedule(func.clone(), func, rs6k(),
                              level=ScheduleLevel.NONE)
+    assert report.ok
+    assert report.checked_edges == 0
+
+
+def _swap_independent_pair(block) -> bool:
+    """Swap the first adjacent body pair that shares no register and not
+    both touch memory; False when the block has none."""
+    body = block.body
+    for a, b in zip(body, body[1:]):
+        regs_a = set(a.reg_defs()) | set(a.reg_uses())
+        regs_b = set(b.reg_defs()) | set(b.reg_uses())
+        if regs_a & regs_b or (a.opcode.touches_memory
+                               and b.opcode.touches_memory):
+            continue
+        i = block.index_of(a)
+        block.instrs[i], block.instrs[i + 1] = b, a
+        return True
+    return False
+
+
+def test_changed_block_has_its_edges_judged():
+    """A legal reorder changes its block, whose edges are all judged."""
+    func = compile_c(TWO_ARMS, level=ScheduleLevel.NONE)["f"].func
+    before = func.clone()
+    assert any(_swap_independent_pair(b) for b in func.blocks)
+    report = verify_schedule(before, func, rs6k(), level=ScheduleLevel.NONE)
     assert report.ok
     assert report.checked_edges > 0
 
@@ -270,6 +297,90 @@ def test_local_sweep_needs_no_region(monkeypatch):
         assert report.ok
         assert report.checked_edges > 0
         assert report.checked_regions == 0
+
+
+def test_local_sweep_builds_ddgs_only_for_changed_blocks(monkeypatch):
+    """An unchanged block's edges all still run forward, so a local sweep
+    builds no DDG for it; an inversion in a changed block is reported."""
+    import repro.pdg.data_deps as data_deps
+
+    func = compile_c(MINMAX_C, level=ScheduleLevel.NONE)["minmax"].func
+    before = func.clone()
+    for block in func.blocks:
+        instrs = block.body
+        pair = next(((a, b) for a, b in zip(instrs, instrs[1:])
+                     if set(a.reg_defs()) & set(b.reg_uses())), None)
+        if pair is not None:
+            break
+    else:
+        pytest.fail("no adjacent flow-dependent pair in minmax")
+    a, b = pair
+    i = block.index_of(a)
+    block.instrs[i], block.instrs[i + 1] = b, a
+    real = data_deps.build_block_ddg
+    built = []
+
+    def spy(blk, machine, **kwargs):
+        built.append(blk.label)
+        return real(blk, machine, **kwargs)
+
+    monkeypatch.setattr(data_deps, "build_block_ddg", spy)
+    report = verify_schedule(before, func, rs6k(), level=ScheduleLevel.NONE,
+                             raise_on_error=False)
+    assert len(func.blocks) > 1
+    assert built == [block.label]
+    assert report.checked_edges > 0
+    assert any(i.kind == "dependence" and i.uid == b.uid
+               for i in report.issues)
+
+
+def test_verified_sweep_walks_the_ir_once(monkeypatch):
+    """A verified compile calls ``verify_function`` as often as an
+    unverified one: each sweep's walk is ``verify_schedule``'s."""
+    import repro.verify.verifier as verifier
+    import repro.xform.pipeline as pipeline
+
+    calls = []
+    for module in (pipeline, verifier):
+        def counted(func, _real=module.verify_function):
+            calls.append(func.name)
+            return _real(func)
+
+        monkeypatch.setattr(module, "verify_function", counted)
+    for level in ScheduleLevel:
+        counts = []
+        for verify in (False, True):
+            calls.clear()
+            result = compile_c(MINMAX_C, level=level,
+                               config=PipelineConfig(level=level,
+                                                     verify=verify))
+            counts.append(len(calls))
+            assert all(r.ok for u in result for r in u.report.verify_reports)
+        assert counts[0] == counts[1] > 0, (level, counts)
+
+
+def test_malformed_sweep_output_is_a_skeleton_issue(monkeypatch):
+    """With the stage's own IR walk skipped, a verified sweep that leaves
+    malformed IR is still caught -- by ``verify_schedule``'s walk."""
+    import repro.xform.pipeline as pipeline
+    from repro.ir.operand import MemRef, gpr
+
+    real = pipeline.schedule_function_blocks
+
+    def malformed(func, machine):
+        cycles = real(func, machine)
+        plain = next(ins for ins in func.instructions()
+                     if ins.opcode.mnemonic == "LI")
+        plain.mem = MemRef(gpr(1), 0)
+        return cycles
+
+    monkeypatch.setattr(pipeline, "schedule_function_blocks", malformed)
+    level = ScheduleLevel.NONE
+    with pytest.raises(ScheduleVerificationError) as caught:
+        compile_c(TWO_ARMS, level=level, config=verified_config(level))
+    (issue,) = caught.value.report.issues
+    assert issue.kind == "skeleton"
+    assert "memory operand mismatch" in issue.message
 
 
 def test_global_sweep_builds_only_changed_regions(monkeypatch):
