@@ -22,9 +22,9 @@ Commands:
   compiled at every level on several machines, outputs compared, failures
   minimised (``--reproduce SEED:INDEX`` re-runs one case).  Campaigns can
   bound each program (``--timeout``), park repeat offenders instead of
-  aborting (on unless ``--no-quarantine``; ``--quarantine-out`` writes the
-  report), and checkpoint/resume (``--checkpoint FILE`` / ``--resume
-  FILE``) with results identical to an uninterrupted run;
+  aborting (``--quarantine-out`` writes the report), and checkpoint/resume
+  (``--checkpoint FILE`` / ``--resume FILE``) with results identical to
+  an uninterrupted run;
 * ``serve`` -- batch compile-as-a-service: JSONL requests on stdin (or
   ``--socket PATH``), JSONL responses in request order, backed by a
   sharded job pool (``--jobs``) and a content-addressed artifact cache
@@ -382,7 +382,6 @@ def cmd_fuzz(args) -> int:
                       jobs=args.jobs,
                       collect_metrics=bool(args.metrics_out),
                       timeout_s=args.timeout,
-                      quarantine=not args.no_quarantine,
                       checkpoint_path=args.checkpoint,
                       resume_path=args.resume,
                       interrupt_after=args.interrupt_after)
@@ -621,9 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(JSON) to FILE")
     p.add_argument("--timeout", type=float, metavar="SECONDS",
                    help="wall-clock budget per program (default: none)")
-    p.add_argument("--no-quarantine", action="store_true",
-                   help="legacy fail-fast mode: a crashed worker aborts "
-                        "the campaign instead of quarantining the program")
     p.add_argument("--quarantine-out", metavar="FILE",
                    help="write the quarantine report (JSON) to FILE")
     p.add_argument("--checkpoint", metavar="FILE",

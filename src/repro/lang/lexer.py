@@ -8,19 +8,28 @@ short-circuit ``&&``/``||``, calls, and ``//`` and ``/* */`` comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 KEYWORDS = {
     "int", "void", "if", "else", "while", "for", "return",
     "break", "continue",
 }
 
-#: multi-character operators, longest first
-_MULTI = [
-    "<<=", ">>=", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
-    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
-]
-_SINGLE = set("+-*/%&|^~!<>=(){}[];,")
+#: one alternative per token class, tried in order: the unterminated
+#: forms follow their complete ones, and each multi-character operator
+#: precedes its one-character prefix
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)
+  | (?P<open_comment>/\*)
+  | (?P<num>0[xX][0-9a-fA-F]*|\d+)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<str>"(?:[^"\\]|\\.)*")
+  | (?P<open_str>")
+  | (?P<op><<=|>>=|[=!<>]=|&&|\|\||<<|>>|[-+*/%&|^]=|\+\+|--
+         |[-+*/%&|^~!<>=(){}\[\];,])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 class LexError(ValueError):
@@ -29,9 +38,8 @@ class LexError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "num" | "kw" | "op" | "eof"
+class Token(NamedTuple):
+    kind: str  # "ident" | "num" | "kw" | "op" | "str" | "eof"
     text: str
     line: int
 
@@ -42,71 +50,25 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """Tokenize ``source``; raises :class:`LexError` on bad input."""
     tokens: list[Token] = []
-    i, line = 0, 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if source.startswith("//", i):
-            end = source.find("\n", i)
-            i = n if end < 0 else end
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise LexError(line, "unterminated /* comment")
-            line += source.count("\n", i, end)
-            i = end + 2
-            continue
-        if ch.isdigit():
-            j = i
-            if source.startswith("0x", i) or source.startswith("0X", i):
-                j = i + 2
-                while j < n and source[j] in "0123456789abcdefABCDEF":
-                    j += 1
-            else:
-                while j < n and source[j].isdigit():
-                    j += 1
-            tokens.append(Token("num", source[i:j], line))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
+    line = 1
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        if kind == "skip":
+            # newlines inside a string token do not advance the count
+            line += text.count("\n")
+        elif kind == "word":
             tokens.append(Token("kw" if text in KEYWORDS else "ident",
                                 text, line))
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                j += 2 if source[j] == "\\" else 1
-            if j >= n:
-                raise LexError(line, "unterminated string literal")
-            tokens.append(Token("str", source[i + 1:j], line))
-            i = j + 1
-            continue
-        matched = False
-        for op in _MULTI:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token("op", ch, line))
-            i += 1
-            continue
-        raise LexError(line, f"unexpected character {ch!r}")
+        elif kind == "num" or kind == "op":
+            tokens.append(Token(kind, text, line))
+        elif kind == "str":
+            tokens.append(Token("str", text[1:-1], line))
+        elif kind == "open_comment":
+            raise LexError(line, "unterminated /* comment")
+        elif kind == "open_str":
+            raise LexError(line, "unterminated string literal")
+        else:
+            raise LexError(line, f"unexpected character {text!r}")
     tokens.append(Token("eof", "", line))
     return tokens

@@ -312,6 +312,32 @@ class DenseDDG:
                 f"v{self.version}>")
 
 
+def refresh_edge(ddg: DataDependenceGraph, src: Instruction,
+                 dst: Instruction, machine: MachineModel) -> None:
+    """Re-derive the dependence edge ``src -> dst`` from the two
+    instructions' current operands: drop the old edge, then add the flow,
+    anti, output and (conservatively) memory edges, of which the graph
+    keeps the strongest.  Section 4.2 renaming calls it for the edges of
+    a renamed instruction, Definition 6 duplication for each copy."""
+    existing = ddg.edge(src, dst)
+    if existing is not None:
+        ddg.remove_edge(existing)
+    src_defs = set(src.reg_defs())
+    src_uses = set(src.reg_uses())
+    for reg in dst.reg_uses():
+        if reg in src_defs:
+            ddg.add_edge(src, dst, DepKind.FLOW,
+                         machine.flow_delay(src, dst, reg), reg)
+    for reg in dst.reg_defs():
+        if reg in src_uses:
+            ddg.add_edge(src, dst, DepKind.ANTI, 0, reg)
+        if reg in src_defs:
+            ddg.add_edge(src, dst, DepKind.OUTPUT, 0, reg)
+    if (src.touches_memory and dst.touches_memory
+            and (src.writes_memory or dst.writes_memory)):
+        ddg.add_edge(src, dst, DepKind.MEM, 0)
+
+
 def _edge_weight(machine: MachineModel, edge: DepEdge) -> int:
     """Minimum start-to-start separation the edge imposes."""
     if edge.kind is DepKind.FLOW:

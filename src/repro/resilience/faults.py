@@ -39,8 +39,8 @@ SITES: tuple[str, ...] = (
 
 #: stages a pass.* fault may target (ctr is off in default configs)
 STAGES: tuple[str, ...] = (
-    "strength-reduce", "rename-ahead", "unroll",
-    "global-pass-1", "rotate", "global-pass-2", "bb-post",
+    "strength-reduce", "unroll", "global-pass-1", "rotate",
+    "global-pass-2", "bb-post",
 )
 
 #: service-boundary fault sites (``repro chaos --service``); injected

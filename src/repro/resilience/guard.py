@@ -63,7 +63,7 @@ class StageGuard:
         #: a pass budget or an armed fault.  Unarmed, a genuine crash
         #: still fails soft -- it propagates to the ladder runner, which
         #: restores the pristine clone and retries one rung down -- and
-        #: the inert path skips the per-stage clones (the <2% bench gate).
+        #: the inert path skips the per-stage clones.
         self.armed = (config.fault is not None
                       or config.pass_budget_s is not None)
         #: With no deadline either, the guard has nothing to watch at a
@@ -89,8 +89,7 @@ class StageGuard:
         fault = self.config.fault
         snapshot = self.func.clone() if skippable else None
         try:
-            with watchdog(self.config.pass_budget_s, f"pass:{name}",
-                          preemptive=self.config.preemptive):
+            with watchdog(self.config.pass_budget_s, f"pass:{name}"):
                 yield
                 # injection fires *after* the body: a @contextmanager must
                 # yield exactly once, so a pre-body raise could not be

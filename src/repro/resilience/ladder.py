@@ -49,8 +49,11 @@ class ResilienceConfig:
     """Knobs of the fail-soft pipeline (``PipelineConfig.resilience``).
 
     All defaults are inert: no budgets, no faults -- the guards then cost
-    a few context managers and one pristine clone per function (gated
-    below 2% by ``benchmarks/perf/run_pipeline_bench.py``).
+    a few context managers and one pristine clone per function.  Hung
+    passes are interrupted by SIGALRM where it exists (a Unix main
+    thread) and detected cooperatively elsewhere, and every fallback
+    rung runs the schedule verifier, so a degraded schedule is certified
+    before it ships.
     """
 
     #: wall-clock budget per pipeline stage (None = unlimited)
@@ -58,12 +61,6 @@ class ResilienceConfig:
     #: wall-clock budget for the whole function, across every rung
     #: attempt; once spent, the ladder jumps straight to ``identity``
     program_budget_s: float | None = None
-    #: arm SIGALRM so hung passes are interrupted mid-flight (Unix main
-    #: thread only; elsewhere overruns are detected cooperatively)
-    preemptive: bool = True
-    #: force the PR-1 verifier on for every fallback rung, so a degraded
-    #: schedule is always certified before it ships
-    verify_on_fallback: bool = True
     #: an armed chaos fault (:class:`repro.resilience.faults.ActiveFault`)
     #: -- None outside fault-injection runs
     fault: object | None = None
@@ -89,14 +86,13 @@ def ladder_for(config) -> list[Rung]:
     return rungs
 
 
-def rung_config(base, rung: Rung, *, fallback: bool,
-                verify_on_fallback: bool):
+def rung_config(base, rung: Rung, *, fallback: bool):
     """Derive the pipeline config for one rung attempt (None = identity:
-    no pipeline runs at all)."""
+    no pipeline runs at all); a fallback rung always verifies."""
     if rung is Rung.IDENTITY:
         return None
-    verify = base.verify or (fallback and verify_on_fallback)
-    return dataclasses.replace(base, level=_RUNG_LEVEL[rung], verify=verify)
+    return dataclasses.replace(base, level=_RUNG_LEVEL[rung],
+                               verify=base.verify or fallback)
 
 
 def worst_rung(names) -> str:

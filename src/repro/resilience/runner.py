@@ -139,15 +139,13 @@ def resilient_optimize(
             descend(rung, rungs[-1], exc)
             index = len(rungs) - 1
             continue
-        attempt_config = rung_config(
-            config, rung, fallback=fallback,
-            verify_on_fallback=rcfg.verify_on_fallback)
+        attempt_config = rung_config(config, rung, fallback=fallback)
         guard = StageGuard(func, rcfg, rung, program_deadline,
                            tracer, metrics)
         attempt_started = time.perf_counter()
         try:
             with watchdog(program_deadline, PROGRAM_SITE,
-                          preemptive=rcfg.preemptive, check_on_exit=False):
+                          check_on_exit=False):
                 inner = _optimize_once(func, machine, attempt_config,
                                        live_at_exit=live_at_exit,
                                        guard=guard)

@@ -56,7 +56,7 @@ from ..obs.events import (
 from ..obs.metrics import NULL_METRICS
 from ..obs.tracer import NULL_TRACER
 from ..pdg.pdg import RegionPDG
-from ..pdg.data_deps import DepKind
+from ..pdg.data_deps import refresh_edge
 from .candidates import (
     Candidate,
     ScheduleLevel,
@@ -580,7 +580,7 @@ def _place_duplicates(pdg: RegionPDG, state,
         func.note_registers(copy)
         # dependences from the predecessor's existing instructions
         for existing in pred.instrs:
-            _add_pair_edges(pdg, existing, copy)
+            refresh_edge(pdg.ddg, existing, copy, pdg.machine)
         pred.insert_before_terminator(copy)
         # the join's remaining instructions that depended on the original
         # must now also wait for (and stay below) the copy
@@ -590,22 +590,3 @@ def _place_duplicates(pdg: RegionPDG, state,
             # that block's pass already ran: the copy stays at its end,
             # and downstream readiness must not wait on it forever
             state.mark_prefulfilled(copy)
-
-
-def _add_pair_edges(pdg: RegionPDG, src, dst) -> None:
-    """Conservative dependence edges ``src -> dst`` from current operands."""
-    machine = pdg.machine
-    src_defs = set(src.reg_defs())
-    src_uses = set(src.reg_uses())
-    for reg in dst.reg_uses():
-        if reg in src_defs:
-            pdg.ddg.add_edge(src, dst, DepKind.FLOW,
-                             machine.flow_delay(src, dst, reg), reg)
-    for reg in dst.reg_defs():
-        if reg in src_uses:
-            pdg.ddg.add_edge(src, dst, DepKind.ANTI, 0, reg)
-        if reg in src_defs:
-            pdg.ddg.add_edge(src, dst, DepKind.OUTPUT, 0, reg)
-    if (src.touches_memory and dst.touches_memory
-            and (src.writes_memory or dst.writes_memory)):
-        pdg.ddg.add_edge(src, dst, DepKind.MEM, 0)

@@ -34,7 +34,7 @@ from ..ir.instruction import Instruction
 from ..ir.operand import Reg
 from ..machine.model import MachineModel
 from ..obs.metrics import NULL_METRICS
-from ..pdg.data_deps import DataDependenceGraph, DepKind
+from ..pdg.data_deps import DataDependenceGraph, DepKind, refresh_edge
 
 
 class LiveOnExitTracker:
@@ -298,34 +298,11 @@ def _rename_web(ins: Instruction, home: BasicBlock, position: int, reg: Reg,
             break
     # Anti/output edges into `ins` on the old name are now spurious; so are
     # output edges out of it.  Refresh those pairs from current operands.
-    # succs()/preds() are live views and _refresh_pair mutates the graph,
+    # succs()/preds() are live views and refresh_edge mutates the graph,
     # so snapshot both before walking them.
     for edge in tuple(ddg.preds(ins)):
         if edge.kind in (DepKind.ANTI, DepKind.OUTPUT):
-            _refresh_pair(ddg, edge.src, ins, machine)
+            refresh_edge(ddg, edge.src, ins, machine)
     for edge in tuple(ddg.succs(ins)):
         if edge.kind is DepKind.OUTPUT:
-            _refresh_pair(ddg, ins, edge.dst, machine)
-
-
-def _refresh_pair(ddg: DataDependenceGraph, src: Instruction,
-                  dst: Instruction, machine: MachineModel) -> None:
-    """Recompute the (single, strongest) dependence edge src -> dst from the
-    instructions' current operands, conservatively for memory."""
-    existing = ddg.edge(src, dst)
-    if existing is not None:
-        ddg.remove_edge(existing)
-    src_defs = set(src.reg_defs())
-    src_uses = set(src.reg_uses())
-    for reg in dst.reg_uses():
-        if reg in src_defs:
-            ddg.add_edge(src, dst, DepKind.FLOW,
-                         machine.flow_delay(src, dst, reg), reg)
-    for reg in dst.reg_defs():
-        if reg in src_uses:
-            ddg.add_edge(src, dst, DepKind.ANTI, 0, reg)
-        if reg in src_defs:
-            ddg.add_edge(src, dst, DepKind.OUTPUT, 0, reg)
-    if (src.touches_memory and dst.touches_memory
-            and (src.writes_memory or dst.writes_memory)):
-        ddg.add_edge(src, dst, DepKind.MEM, 0)
+            refresh_edge(ddg, ins, edge.dst, machine)

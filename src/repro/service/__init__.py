@@ -29,7 +29,6 @@ from .jobs import (
     JobPool,
     JobResult,
     JobSpec,
-    JobWorkerError,
     SupervisorConfig,
 )
 from .journal import Journal, JournalError, JournalState, load_journal
@@ -46,7 +45,6 @@ __all__ = [
     "JobPool",
     "JobResult",
     "JobSpec",
-    "JobWorkerError",
     "Journal",
     "JournalError",
     "JournalState",

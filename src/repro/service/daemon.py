@@ -553,8 +553,8 @@ class Daemon:
                     "error": result.detail}
         if result.status == QUARANTINED:
             return {"status": "quarantined", "reason": result.reason}
-        # CRASHED only happens on quarantine=False pools; the daemon
-        # always quarantines, but fail soft if it ever surfaces
+        # CRASHED: the pool could not run the job at all (its error
+        # callback, e.g. a result that did not pickle) -- a typed error
         return {"status": "error", "reason": "crash", "error": result.detail}
 
     def _respond(self, rid, outcome: dict, *, is_first: bool,

@@ -15,9 +15,7 @@ handed to one module-level handler function -- on a sharded
   worker process), so a hanging handler is interrupted mid-flight;
 * **retry-once-then-quarantine** -- a crash or timeout is retried after
   a short exponential backoff and then parked as a ``quarantined``
-  result while the pool keeps serving (``quarantine=False`` restores
-  fail-fast semantics: the raw traceback comes back as a ``crashed``
-  result for the caller to raise);
+  result, traceback in its detail, while the pool keeps serving;
 * **typed errors** -- exception types listed in ``typed_errors`` (e.g. a
   parse error) are *expected* failures: reported once as an ``error``
   result, never retried, never quarantined;
@@ -38,7 +36,8 @@ handed to one module-level handler function -- on a sharded
   ``service.supervisor.*`` counter;
 * **graceful drain/shutdown** -- :meth:`drain` waits for every accepted
   job and returns results sorted by id; closing the pool with work still
-  outstanding kills the workers (the fuzz ``stop_after`` path).
+  outstanding kills the workers (a fuzz campaign stopped by
+  ``interrupt_after``).
 
 Determinism: a job's result is a pure function of its payload, so the
 *sorted* result list of a batch is identical for every ``jobs`` value --
@@ -69,9 +68,11 @@ from ..resilience.budget import watchdog
 from ..resilience.errors import BudgetExceeded
 
 #: sleep before the retry of a crashed/timed-out job, doubled per attempt
-DEFAULT_RETRY_BACKOFF_S = 0.05
+#: (transient faults -- memory pressure, signal races -- get one breath
+#: of air before the job is given up on)
+RETRY_BACKOFF_S = 0.05
 #: attempts per job before quarantine: the first run plus one retry
-DEFAULT_MAX_ATTEMPTS = 2
+MAX_ATTEMPTS = 2
 #: how long a kill-close waits for the result-handler thread to stop
 _HANDLER_JOIN_S = 1.0
 
@@ -79,18 +80,7 @@ _HANDLER_JOIN_S = 1.0
 OK = "ok"
 ERROR = "error"              # an expected, typed failure -- not retried
 QUARANTINED = "quarantined"  # crashed/hung twice; parked, pool continues
-CRASHED = "crashed"          # quarantine=False: raw traceback for caller
-
-
-class JobWorkerError(RuntimeError):
-    """A job handler died on an unexpected exception (``quarantine=False``
-    pools only -- the caller turns the ``crashed`` result into this)."""
-
-    def __init__(self, job_id, worker_traceback: str):
-        super().__init__(
-            f"job worker crashed on job {job_id}:\n{worker_traceback}")
-        self.job_id = job_id
-        self.worker_traceback = worker_traceback
+CRASHED = "crashed"          # the pool could not run the job (reason crash)
 
 
 @dataclass(frozen=True)
@@ -119,11 +109,6 @@ class JobResult:
     def ok(self) -> bool:
         return self.status == OK
 
-    def raise_if_crashed(self) -> "JobResult":
-        if self.status == CRASHED:
-            raise JobWorkerError(self.id, self.detail)
-        return self
-
 
 @dataclass
 class SupervisorConfig:
@@ -146,8 +131,7 @@ def _execute(task) -> JobResult:
     ``task`` carries everything the attempt needs because the pool
     workers share no state with the parent beyond this tuple.
     """
-    (handler, spec, timeout_s, quarantine, typed_errors,
-     max_attempts, backoff_s) = task
+    handler, spec, timeout_s, typed_errors = task
     attempts = 0
     started = time.perf_counter()
     while True:
@@ -165,15 +149,11 @@ def _execute(task) -> JobResult:
             reason, detail = "timeout", str(exc)
         except Exception:
             reason, detail = "crash", traceback.format_exc()
-        if not quarantine:
-            return JobResult(spec.id, CRASHED, reason=reason, detail=detail,
-                             attempts=attempts,
-                             elapsed_s=time.perf_counter() - started)
-        if attempts >= max_attempts:
+        if attempts >= MAX_ATTEMPTS:
             return JobResult(spec.id, QUARANTINED, reason=reason,
                              detail=detail, attempts=attempts,
                              elapsed_s=time.perf_counter() - started)
-        time.sleep(backoff_s * (2 ** (attempts - 1)))
+        time.sleep(RETRY_BACKOFF_S * (2 ** (attempts - 1)))
 
 
 def _discard(_obj) -> None:
@@ -198,10 +178,7 @@ class JobPool:
         jobs: int = 1,
         queue_size: int = 64,
         timeout_s: float | None = None,
-        quarantine: bool = True,
         typed_errors: tuple = (),
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
         metrics=None,
         tracer=None,
         supervisor: SupervisorConfig | None = None,
@@ -216,10 +193,7 @@ class JobPool:
         self.config = supervisor or SupervisorConfig()
         self._handler = handler
         self._timeout_s = timeout_s
-        self._quarantine = quarantine
         self._typed_errors = tuple(typed_errors)
-        self._max_attempts = max_attempts
-        self._backoff_s = retry_backoff_s
         self._metrics = metrics if metrics is not None else NULL_METRICS
         self._tracer = tracer if tracer is not None else NULL_TRACER
         #: in-flight cap: submit() blocks here -- the backpressure valve
@@ -251,8 +225,7 @@ class JobPool:
         self._known_pids = set(self.worker_pids())
 
     def _task(self, spec: JobSpec):
-        return (self._handler, spec, self._timeout_s, self._quarantine,
-                self._typed_errors, self._max_attempts, self._backoff_s)
+        return (self._handler, spec, self._timeout_s, self._typed_errors)
 
     def _on_done(self, result: JobResult) -> None:
         # runs on the pool's result-handler thread: enqueue, free a slot
@@ -325,9 +298,9 @@ class JobPool:
         """Submit every spec, yielding results as they complete.
 
         At most ``queue_size`` jobs are in flight (inline pools run one
-        job per result handed out), so breaking out early
-        (``stop_after``) leaves the remaining work unrun.  Yield order is
-        completion order; ids let the caller sort.
+        job per result handed out), so breaking out early (a fuzz
+        campaign's ``interrupt_after``) leaves the remaining work unrun.
+        Yield order is completion order; ids let the caller sort.
         """
         it = iter(specs)
         spec = next(it, None)

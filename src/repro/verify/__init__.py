@@ -22,7 +22,6 @@ from .differential import (
 from .fuzz import (
     FuzzFailure,
     FuzzReport,
-    FuzzWorkerError,
     QuarantinedProgram,
     degradation_rung,
     derive_seed,
@@ -44,7 +43,6 @@ __all__ = [
     "DiffResult",
     "FuzzFailure",
     "FuzzReport",
-    "FuzzWorkerError",
     "GenProgram",
     "QuarantinedProgram",
     "ScheduleVerificationError",

@@ -20,14 +20,14 @@ they finish, and the final report is sorted by index -- a campaign's
 failure list is identical for every job count (only ``on_progress``
 interleaving differs).
 
-Campaigns are *resilient* by default: each program runs under an optional
+Campaigns are *resilient*: each program runs under an optional
 wall-clock ``timeout_s``, and a program that crashes or times out is
 retried once (with a short exponential backoff) and then **quarantined**
 -- recorded in ``report.quarantined`` while the campaign continues.  The
-legacy fail-fast behaviour (a crash aborts the campaign as
-:class:`FuzzWorkerError`) is available with ``quarantine=False``.  Long
-campaigns can keep a crash-tolerant checkpoint (``checkpoint_path``) and
-later resume from it (``resume_path``); a resumed campaign's sorted
+quarantine record carries the traceback; ``--reproduce SEED:INDEX``
+re-runs the program outside the pool, where a crash propagates raw.
+Long campaigns can keep a crash-tolerant checkpoint (``checkpoint_path``)
+and later resume from it (``resume_path``); a resumed campaign's sorted
 result lists are identical to an uninterrupted run's, for any job count.
 
 The checkpoint is a write-ahead log (:mod:`repro.service.wal`, the
@@ -53,25 +53,8 @@ from .generator import GenProgram, generate_program
 from .shrink import shrink_program
 
 _SEED_STRIDE = 1_000_003
-#: sleep before the retry of a crashed/timed-out program, doubled per
-#: attempt (transient faults -- memory pressure, signal races -- get one
-#: breath of air before we give up on the index)
-_RETRY_BACKOFF_S = 0.05
-#: attempts per program before quarantine: the first run plus one retry
-_MAX_ATTEMPTS = 2
 #: current checkpoint format: JSONL, header line + per-program entries
 _CHECKPOINT_VERSION = 2
-
-
-class FuzzWorkerError(RuntimeError):
-    """A fuzz worker process died on an unexpected exception
-    (``quarantine=False`` campaigns only)."""
-
-    def __init__(self, index: int, worker_traceback: str):
-        super().__init__(
-            f"fuzz worker crashed on program {index}:\n{worker_traceback}")
-        self.index = index
-        self.worker_traceback = worker_traceback
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -108,7 +91,8 @@ class FuzzFailure:
 @dataclass
 class QuarantinedProgram:
     """A program whose *harness* run kept failing (crash or timeout) --
-    parked after :data:`_MAX_ATTEMPTS` so the campaign can continue."""
+    parked after :data:`repro.service.jobs.MAX_ATTEMPTS` attempts so the
+    campaign can continue."""
 
     index: int
     seed: int
@@ -130,8 +114,7 @@ class FuzzReport:
     master_seed: int
     attempted: int = 0
     failures: list[FuzzFailure] = field(default_factory=list)
-    #: programs parked after repeated crashes/timeouts (campaigns with
-    #: ``quarantine=True``, the default)
+    #: programs parked after repeated crashes/timeouts
     quarantined: list[QuarantinedProgram] = field(default_factory=list)
     #: per-program scheduling summaries (``collect_metrics=True`` only),
     #: sorted by index; see :func:`_program_metrics` for the keys
@@ -250,16 +233,6 @@ def _fold(report: FuzzReport, entry: dict) -> None:
 
 # -- per-program execution ----------------------------------------------------
 
-def _attempt(master_seed: int, index: int, machines: tuple[str, ...],
-             shrink: bool, collect_metrics: bool,
-             timeout_s: float | None,
-             ) -> tuple[FuzzFailure | None, dict | None]:
-    """One harness run of one campaign index, bounded by ``timeout_s``."""
-    with watchdog(timeout_s, f"fuzz:program-{index}"):
-        return _harness(master_seed, index, machines, shrink,
-                        collect_metrics)
-
-
 def _harness(master_seed: int, index: int, machines: tuple[str, ...],
              shrink: bool, collect_metrics: bool,
              ) -> tuple[FuzzFailure | None, dict | None]:
@@ -277,8 +250,8 @@ def _harness(master_seed: int, index: int, machines: tuple[str, ...],
 def _fuzz_job(payload) -> tuple[FuzzFailure | None, dict | None]:
     """:class:`~repro.service.jobs.JobPool` handler: one campaign index.
 
-    The job layer supplies the per-job deadline, the retry-with-backoff,
-    and the quarantine bookkeeping that used to live here.
+    The job layer supplies the per-job deadline, the retry-with-backoff
+    and the quarantine bookkeeping.
     """
     master_seed, index, machines, shrink, collect_metrics = payload
     return _harness(master_seed, index, machines, shrink, collect_metrics)
@@ -291,37 +264,37 @@ def fuzz(
     machines: tuple[str, ...] = DEFAULT_MACHINES,
     shrink: bool = True,
     on_progress: Callable[[int, int], None] | None = None,
-    stop_after: int | None = None,
     jobs: int = 1,
     collect_metrics: bool = False,
     timeout_s: float | None = None,
-    quarantine: bool = True,
     checkpoint_path: str | None = None,
     resume_path: str | None = None,
     interrupt_after: int | None = None,
 ) -> FuzzReport:
     """Run ``n`` generated programs through the differential matrix.
 
-    ``on_progress(done, failures)`` is called after every program;
-    ``stop_after`` aborts the campaign early once that many failures have
-    been collected (None = run everything).  ``jobs > 1`` distributes the
-    programs over a worker pool; because every program derives from
-    ``(seed, index)`` alone, the sorted failure list is independent of the
-    job count (``stop_after`` may admit a different-but-overlapping subset
-    when completion order differs).  ``collect_metrics`` additionally
-    compiles each program with a metrics collector and records a
-    per-program scheduling summary in ``report.metric_summaries``.
+    ``on_progress(done, failures)`` is called after every program.  The
+    programs run as jobs on a :class:`~repro.service.jobs.JobPool` --
+    inline at ``jobs=1``, on ``jobs`` worker processes otherwise; because
+    every program derives from ``(seed, index)`` alone, the sorted
+    failure list is independent of the job count.  ``collect_metrics``
+    additionally compiles each program with a metrics collector and
+    records a per-program scheduling summary in
+    ``report.metric_summaries``.
 
-    ``timeout_s`` bounds each program's harness run; ``quarantine``
-    (default) parks repeat offenders instead of aborting.
-    ``checkpoint_path`` keeps an append-only JSONL WAL of finished
-    programs (flushed per entry, so at most the final line can be torn
-    by a crash); ``resume_path`` seeds the campaign from such a file --
-    torn tail tolerated, that index re-runs -- and only runs the
-    remaining indices; the finished report is identical to an
-    uninterrupted run's.  ``interrupt_after`` stops the campaign after
-    that many programs *this run* (exercises the checkpoint/resume path).
+    ``timeout_s`` bounds each program's harness run; a program that
+    crashes or times out on every attempt is parked in
+    ``report.quarantined``.  ``checkpoint_path`` keeps an append-only
+    JSONL WAL of finished programs (flushed per entry, so at most the
+    final line can be torn by a crash); ``resume_path`` seeds the
+    campaign from such a file -- torn tail tolerated, that index re-runs
+    -- and only runs the remaining indices; the finished report is
+    identical to an uninterrupted run's.  ``interrupt_after`` stops the
+    campaign after that many programs *this run* (exercises the
+    checkpoint/resume path).
     """
+    from ..service.jobs import OK, JobPool, JobSpec
+
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
     report = FuzzReport(master_seed=seed)
@@ -341,79 +314,45 @@ def fuzz(
         from ..service.wal import WALWriter
 
         writer = WALWriter(checkpoint_path, header=header, resume=log)
-    pending = [index for index in range(n) if index not in done]
-
-    completed_this_run = 0
-
-    def complete(index: int, failure, quarantined, error, summary) -> bool:
-        """Fold one result into the report; False stops the campaign."""
-        nonlocal completed_this_run
-        if error is not None:
-            raise FuzzWorkerError(index, error)
-        entry = {"done": index,
-                 "failure": asdict(failure) if failure is not None else None,
-                 "quarantined": (asdict(quarantined)
-                                 if quarantined is not None else None),
-                 "metrics": summary}
-        _fold(report, entry)
-        completed_this_run += 1
-        if writer is not None:
-            writer.append(entry)
-        if on_progress is not None:
-            on_progress(report.attempted, len(report.failures))
-        if stop_after is not None and len(report.failures) >= stop_after:
-            return False
-        if (interrupt_after is not None
-                and completed_this_run >= interrupt_after):
-            return False
-        return True
-
-    def finish() -> FuzzReport:
-        report.failures.sort(key=lambda f: f.index)
-        report.quarantined.sort(key=lambda q: q.index)
-        report.metric_summaries.sort(key=lambda s: s["index"])
-        return report
-
+    specs = [JobSpec(id=index,
+                     payload=(seed, index, machines, shrink, collect_metrics))
+             for index in range(n) if index not in done]
     try:
-        if jobs == 1 and not quarantine:
-            # legacy fail-fast: exceptions propagate to the caller raw
-            for index in pending:
-                failure, summary = _attempt(seed, index, machines, shrink,
-                                            collect_metrics, timeout_s)
-                if not complete(index, failure, None, None, summary):
-                    break
-            return finish()
-
-        from ..service.jobs import (
-            CRASHED, OK, QUARANTINED, JobPool, JobSpec)
-
-        specs = [JobSpec(id=index,
-                         payload=(seed, index, machines, shrink,
-                                  collect_metrics))
-                 for index in pending]
         with JobPool(_fuzz_job, jobs=jobs, queue_size=max(16, 4 * jobs),
-                     timeout_s=timeout_s, quarantine=quarantine,
-                     max_attempts=_MAX_ATTEMPTS,
-                     retry_backoff_s=_RETRY_BACKOFF_S) as pool:
-            for result in pool.run(specs):
+                     timeout_s=timeout_s) as pool:
+            for ran, result in enumerate(pool.run(specs), 1):
                 index = result.id
-                failure = parked = error = summary = None
+                failure = parked = summary = None
                 if result.status == OK:
                     failure, summary = result.value
-                elif result.status == QUARANTINED:
+                else:
+                    # QUARANTINED, or CRASHED (reason "crash": the pool
+                    # could not run the job at all) -- parked either way
                     parked = QuarantinedProgram(
                         index=index, seed=derive_seed(seed, index),
                         attempts=result.attempts, reason=result.reason,
                         detail=result.detail)
-                elif result.status == CRASHED:
-                    error = result.detail
-                if not complete(index, failure, parked, error, summary):
+                entry = {"done": index,
+                         "failure": (asdict(failure)
+                                     if failure is not None else None),
+                         "quarantined": (asdict(parked)
+                                         if parked is not None else None),
+                         "metrics": summary}
+                _fold(report, entry)
+                if writer is not None:
+                    writer.append(entry)
+                if on_progress is not None:
+                    on_progress(report.attempted, len(report.failures))
+                if interrupt_after is not None and ran >= interrupt_after:
                     break
             # leaving the with-block terminates still-running workers
-        return finish()
     finally:
         if writer is not None:
             writer.close()
+    report.failures.sort(key=lambda f: f.index)
+    report.quarantined.sort(key=lambda q: q.index)
+    report.metric_summaries.sort(key=lambda s: s["index"])
+    return report
 
 
 def _build_failure(

@@ -1,8 +1,7 @@
-"""Code transformations: renaming, unrolling, rotation, and the full flow."""
+"""Code transformations: unrolling, rotation, and the full flow."""
 
 from .ctr import CtrReport, convert_counted_loops
 from .pipeline import PipelineConfig, PipelineReport, optimize
-from .rename import RenameReport, rename_function
 from .rotate import RotateReport, rotatable, rotate_loop
 from .simplify import SimplifyReport, simplify_cfg
 from .strength import StrengthReductionReport, strength_reduce
@@ -19,7 +18,6 @@ __all__ = [
     "PipelineConfig",
     "convert_counted_loops",
     "PipelineReport",
-    "RenameReport",
     "RotateReport",
     "SimplifyReport",
     "StrengthReductionReport",
@@ -29,7 +27,6 @@ __all__ = [
     "UnrollReport",
     "loop_blocks_in_layout",
     "optimize",
-    "rename_function",
     "rotatable",
     "rotate_loop",
     "unroll_loop",

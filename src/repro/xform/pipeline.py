@@ -36,7 +36,6 @@ from ..sched.candidates import ScheduleLevel
 from ..sched.driver import GlobalScheduleReport, global_schedule
 from ..sched.profiling import BranchProfile, make_profile_priority_fn
 from .ctr import CtrReport, convert_counted_loops
-from .rename import RenameReport, rename_function
 from .rotate import RotateReport, rotatable, rotate_loop
 from .strength import StrengthReductionReport, strength_reduce
 from .unroll import UnrollReport, unroll_loop, unrollable_inner_loops
@@ -65,8 +64,6 @@ class PipelineConfig:
     max_speculation: int = 1
     #: scheduler-integrated renaming (Figure 6's cr5)
     rename_on_demand: bool = True
-    #: run the standalone local renaming pass ahead of scheduling instead
-    rename_ahead: bool = False
     #: induction-variable strength reduction, part of the BASE compiler's
     #: "machine independent optimizations" (it is what gives Figure 2 its
     #: pointer-walk form); applied at every level including NONE
@@ -107,7 +104,6 @@ class PipelineReport:
     level: ScheduleLevel
     unrolled: list[UnrollReport] = field(default_factory=list)
     rotated: list[RotateReport] = field(default_factory=list)
-    rename: RenameReport | None = None
     strength: StrengthReductionReport | None = None
     ctr: CtrReport | None = None
     first_pass: GlobalScheduleReport | None = None
@@ -306,16 +302,10 @@ def _optimize_once(
             check(before, level=ScheduleLevel.NONE)
         return finish()
 
-    if config.rename_ahead:
-        with phase("rename-ahead", skippable=True,
-                   on_restore=analyses.invalidate):
-            rename = rename_function(
-                func, live_at_exit=live_at_exit or frozenset())
-            verify_function(func)
-            report.rename = rename
-        analyses.invalidate_liveness()
-
-    # Step 1: unroll small inner loops.
+    # Step 1: unroll small inner loops.  The IR walk after it may be
+    # skipped only when nothing was unrolled and an earlier stage (whose
+    # report is set only once its own walk passed) already walked this
+    # IR, so every compile still walks its IR before it is scheduled.
     if config.unroll_max_blocks:
         with phase("unroll", skippable=True,
                    on_restore=analyses.invalidate):
@@ -324,7 +314,8 @@ def _optimize_once(
             for loop in unrollable_inner_loops(func, nest.loops,
                                                config.unroll_max_blocks):
                 unrolled.append(unroll_loop(func, loop))
-            verify_function(func)
+            if unrolled or (report.strength is None and report.ctr is None):
+                verify_function(func)
             report.unrolled = unrolled
         if report.unrolled:
             analyses.invalidate()
@@ -357,7 +348,8 @@ def _optimize_once(
     check(before, level=config.level, motions=report.first_pass.motions,
           events=events, priority_fn=priority_fn)
 
-    # Step 3: rotate small inner loops.
+    # Step 3: rotate small inner loops.  With nothing rotated the IR is
+    # what global-pass-1's walk (or its verifier's skeleton check) saw.
     rotated_headers: set[str] = set()
     if config.rotate_max_blocks:
         with phase("rotate", skippable=True,
@@ -369,7 +361,8 @@ def _optimize_once(
                     continue
                 if rotatable(func, loop, config.rotate_max_blocks):
                     rotated.append(rotate_loop(func, loop))
-            verify_function(func)
+            if rotated:
+                verify_function(func)
             report.rotated = rotated
             rotated_headers = {r.new_loop_header for r in rotated}
         if report.rotated:

@@ -23,6 +23,9 @@ from dataclasses import dataclass
 from ..ir.function import Function
 from ..ir.opcodes import Opcode
 
+#: rounds of simplification before giving up on reaching a fixed point
+MAX_ROUNDS = 20
+
 
 @dataclass
 class SimplifyReport:
@@ -37,10 +40,11 @@ class SimplifyReport:
                 + self.merged_blocks)
 
 
-def simplify_cfg(func: Function, *, max_rounds: int = 20) -> SimplifyReport:
-    """Simplify ``func`` in place until nothing changes."""
+def simplify_cfg(func: Function) -> SimplifyReport:
+    """Simplify ``func`` in place until nothing changes (at most
+    :data:`MAX_ROUNDS` rounds)."""
     report = SimplifyReport()
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         changed = 0
         changed += _thread_jumps(func, report)
         changed += _fold_fallthrough_jumps(func, report)

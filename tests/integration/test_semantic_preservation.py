@@ -114,8 +114,6 @@ def run_all_levels(source: str, array: list[int], x: int, y: int):
         ("useful", PC(level=ScheduleLevel.USEFUL)),
         ("speculative", PC(level=ScheduleLevel.SPECULATIVE)),
         ("spec2", PC(level=ScheduleLevel.SPECULATIVE, max_speculation=2)),
-        ("rename-ahead", PC(level=ScheduleLevel.SPECULATIVE,
-                            rename_ahead=True)),
         ("duplication", PC(level=ScheduleLevel.SPECULATIVE,
                            allow_duplication=True)),
         ("ctr-loops", PC(level=ScheduleLevel.SPECULATIVE,

@@ -58,3 +58,21 @@ def test_bad_character():
 
 def test_eof_token():
     assert tokenize("")[-1].kind == "eof"
+
+
+def test_string_with_escaped_quote():
+    assert kinds(r'f("a\"b", c)') == [("ident", "f"), ("op", "("),
+                                      ("str", r'a\"b'), ("op", ","),
+                                      ("ident", "c"), ("op", ")")]
+
+
+def test_string_spanning_lines_does_not_advance_the_line():
+    tokens = tokenize('"a\nb" x\ny')
+    assert [(t.kind, t.text, t.line) for t in tokens] == [
+        ("str", "a\nb", 1), ("ident", "x", 1), ("ident", "y", 2),
+        ("eof", "", 2)]
+
+
+def test_unterminated_string():
+    with pytest.raises(LexError, match="line 2: unterminated string"):
+        tokenize('x\n"abc\\"')

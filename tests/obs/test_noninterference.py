@@ -53,8 +53,9 @@ def test_tracing_never_changes_the_assembly(level, machine):
 
 def test_duplication_and_rename_paths_are_also_clean():
     """Exercise the optional scheduler paths (Definition 6 duplication,
-    rename-ahead) under tracing too."""
-    for kwargs in ({"allow_duplication": True}, {"rename_ahead": True}):
+    scheduling without on-demand renaming) under tracing too."""
+    for kwargs in ({"allow_duplication": True},
+                   {"rename_on_demand": False}):
         level = ScheduleLevel.SPECULATIVE
         baseline = _assembly(level, "rs6k", PipelineConfig(level=level,
                                                            **kwargs))

@@ -10,15 +10,21 @@ same answer as the unmodified one.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
+from repro.compiler import compile_c
 from repro.ir import gpr
+from repro.ir.function import Function
 from repro.machine import rs6k
 from repro.resilience import ResilienceConfig, Rung, worst_rung
 from repro.resilience.faults import ActiveFault, FaultPlan
+from repro.resilience.guard import StageGuard
 from repro.resilience.ladder import ladder_for, rung_config, start_rung
 from repro.sched import ScheduleLevel
+from repro.verify.fuzz import derive_seed
+from repro.verify.generator import generate_program
 from repro.xform import PipelineConfig, optimize
 from repro.xform.pipeline import PipelineReport
 
@@ -52,19 +58,22 @@ class TestLadder:
 
     def test_rung_config_identity_is_none(self):
         base = PipelineConfig()
-        assert rung_config(base, Rung.IDENTITY, fallback=True,
-                           verify_on_fallback=True) is None
+        assert rung_config(base, Rung.IDENTITY, fallback=True) is None
 
     def test_rung_config_forces_verify_on_fallback(self):
         base = PipelineConfig(verify=False)
-        derived = rung_config(base, Rung.USEFUL, fallback=True,
-                              verify_on_fallback=True)
-        assert derived.verify
-        assert derived.level is ScheduleLevel.USEFUL
-        # the original attempt keeps the caller's choice
-        first = rung_config(base, Rung.SPECULATIVE, fallback=False,
-                            verify_on_fallback=True)
-        assert not first.verify
+        levels = {Rung.SPECULATIVE: ScheduleLevel.SPECULATIVE,
+                  Rung.USEFUL: ScheduleLevel.USEFUL,
+                  Rung.BB: ScheduleLevel.NONE}
+        for rung, level in levels.items():
+            # every fallback rung verifies, whatever the caller chose
+            derived = rung_config(base, rung, fallback=True)
+            assert derived.verify, rung
+            assert derived.level is level
+            # the original attempt keeps the caller's choice
+            assert not rung_config(base, rung, fallback=False).verify
+            assert rung_config(PipelineConfig(verify=True), rung,
+                               fallback=False).verify
 
     def test_worst_rung(self):
         assert worst_rung(["speculative", "bb", "useful"]) == "bb"
@@ -105,6 +114,40 @@ class TestResilientDriver:
             got = getattr(resilient, f.name)
             want = getattr(plain, f.name)
             assert type(got) is type(want), f.name
+
+    def test_inert_config_costs_one_clone_and_no_guarded_stage(
+            self, monkeypatch):
+        """The inert path's cost, stated by calls rather than by time: a
+        ``ResilienceConfig()`` compile emits the plain compile's assembly,
+        takes exactly one more ``Function.clone`` per function (the
+        pristine copy the ladder would restore) and never enters a
+        guarded stage."""
+        clones = Counter()
+        real_clone = Function.clone
+
+        def counting_clone(func):
+            clones[func.name] += 1
+            return real_clone(func)
+
+        def no_guarded_stage(*args, **kwargs):
+            raise AssertionError("an inert guard entered _guarded_stage")
+
+        def compile_counting(source, resilience):
+            clones.clear()
+            result = compile_c(source, machine=rs6k(), config=PipelineConfig(
+                resilience=resilience))
+            return ([unit.assembly() for unit in result], Counter(clones),
+                    Counter(unit.name for unit in result))
+
+        monkeypatch.setattr(Function, "clone", counting_clone)
+        monkeypatch.setattr(StageGuard, "_guarded_stage", no_guarded_stage)
+        for index in range(5):
+            source = generate_program(derive_seed(1991, index)).source
+            plain_asm, plain_clones, names = compile_counting(source, None)
+            inert_asm, inert_clones, _ = compile_counting(
+                source, ResilienceConfig())
+            assert inert_asm == plain_asm
+            assert inert_clones == plain_clones + names
 
     def test_crash_in_global_pass_descends_to_bb(self):
         # global-pass-1 runs on the speculative AND useful rungs, so a

@@ -20,11 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.compiler
 from repro.obs.metrics import MetricsCollector
 from repro.resilience.ladder import ResilienceConfig
 from repro.sched.candidates import ScheduleLevel
 from repro.sched.profiling import BranchProfile
-from repro.service import worker
+from repro.service import Daemon, ServeConfig, worker
 from repro.service.cache import (
     NON_OUTPUT_FIELDS,
     Artifact,
@@ -32,6 +33,8 @@ from repro.service.cache import (
     cache_key,
     config_fingerprint,
 )
+from repro.verify.fuzz import derive_seed
+from repro.verify.generator import generate_program
 from repro.xform.pipeline import PipelineConfig
 
 SOURCE = "int f(int x) { return x + 1; }"
@@ -124,6 +127,29 @@ class TestHitByteIdentity:
         first, second = self._compile(), self._compile()
         assert json.dumps(first, sort_keys=True) == \
             json.dumps(second, sort_keys=True)
+
+    def test_warm_batch_runs_no_compile(self, monkeypatch):
+        """A batch served twice is answered the second time from the
+        cache alone: with the scheduler made to raise, every answer is
+        still a ``cache-hit``, byte-equal to the compile that seeded it."""
+        lines = [json.dumps({"id": index, "source": generate_program(
+            derive_seed(1991, index)).source}) for index in range(4)]
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("a warm batch compiled")
+
+        def body(response):
+            return json.dumps({k: v for k, v in response.items()
+                               if k != "status"}, sort_keys=True)
+
+        with Daemon(ServeConfig(jobs=1)) as daemon:
+            cold = daemon.serve_batch_lines(lines)
+            monkeypatch.setattr(repro.compiler, "schedule_lowered",
+                                no_compile)
+            warm = daemon.serve_batch_lines(lines)
+        assert [r["status"] for r in cold] == ["ok"] * len(lines)
+        assert [r["status"] for r in warm] == ["cache-hit"] * len(lines)
+        assert [body(r) for r in warm] == [body(r) for r in cold]
 
     def test_memory_hit_returns_the_seeded_artifact(self):
         cache = ArtifactCache(max_entries=4)

@@ -101,6 +101,17 @@ class TestMalformedMatrixOverStdin:
                 [json.dumps({"id": 99, "source": _OK_SOURCE})])
             assert follow[0]["status"] == "cache-hit"
 
+    def test_removed_config_field_is_unknown(self):
+        """``rename_ahead`` is no longer a pipeline field, so a request
+        that overrides it is refused like any other unknown field."""
+        line = json.dumps({"id": 0, "source": _OK_SOURCE,
+                           "config": {"rename_ahead": True}})
+        with Daemon(ServeConfig(jobs=1)) as daemon:
+            (response,) = daemon.serve_batch_lines([line])
+        assert response["status"] == "error"
+        assert response["reason"] == "unknown-field"
+        assert "rename_ahead" in response["error"]
+
     def test_oversized_line_is_typed_and_framing_survives(self):
         huge = json.dumps({"id": 0, "source": "int f(int x) { return "
                            + "x + 1 + 1 + 1 + 1 + 1" * 40 + "; }"})

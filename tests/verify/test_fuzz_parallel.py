@@ -1,10 +1,10 @@
 """Parallel fuzz campaigns: determinism, validation and crash handling.
 
 Campaign results must be a pure function of ``(seed, n)``: the sorted
-failure list is identical for every ``--jobs`` value.  A worker that
-*crashes* (as opposed to finding a differential failure) must surface as
-:class:`FuzzWorkerError` with the failing index and the worker traceback,
-never hang the pool or silently drop the program.
+failure list is identical for every ``--jobs`` value.  A program the
+pool cannot run (as opposed to one that finds a differential failure)
+must be parked in ``report.quarantined`` with reason ``crash`` and its
+traceback, never hang the pool or silently drop the program.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.resilience import watchdog
-from repro.verify import FuzzWorkerError, fuzz
+from repro.service import jobs as jobs_module
+from repro.verify import fuzz
 from repro.verify.fuzz import derive_seed
 
 #: the submodule itself (``repro.verify`` re-exports the ``fuzz``
@@ -51,7 +52,8 @@ def test_invalid_jobs_rejected(jobs):
         fuzz(3, 1, jobs=jobs)
 
 
-def test_worker_crash_surfaces_as_fuzz_worker_error(monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_crashing_program_is_parked_at_every_job_count(monkeypatch, jobs):
     boom_seed = derive_seed(CAMPAIGN_SEED, 2)
     real_generate = fuzz_module.generate_program
 
@@ -60,15 +62,34 @@ def test_worker_crash_surfaces_as_fuzz_worker_error(monkeypatch):
             raise RuntimeError("injected worker crash")
         return real_generate(seed)
 
-    # fork-based workers inherit the patched module, so the crash happens
-    # inside the pool and must be relayed back with its traceback
-    # (quarantine=False selects the legacy fail-fast behaviour)
+    # fork-based workers inherit the patched module, so at jobs=2 the
+    # crash happens inside the pool and its traceback comes back parked
     monkeypatch.setattr(fuzz_module, "generate_program", exploding_generate)
-    with pytest.raises(FuzzWorkerError) as excinfo:
-        fuzz(CAMPAIGN_N, CAMPAIGN_SEED, shrink=False, jobs=2,
-             quarantine=False)
-    assert excinfo.value.index == 2
-    assert "injected worker crash" in excinfo.value.worker_traceback
+    monkeypatch.setattr(jobs_module, "RETRY_BACKOFF_S", 0.001)
+    report = fuzz(CAMPAIGN_N, CAMPAIGN_SEED, shrink=False, jobs=jobs)
+    assert report.attempted == CAMPAIGN_N
+    assert [(q.index, q.reason, q.attempts)
+            for q in report.quarantined] == [(2, "crash", 2)]
+    assert "injected worker crash" in report.quarantined[0].detail
+
+
+def test_result_the_pool_cannot_return_is_parked_as_a_crash(monkeypatch):
+    """A result that does not pickle never leaves its worker: the pool's
+    error callback reports the job as crashed, and the campaign parks it
+    with reason ``crash`` instead of stopping."""
+    real_harness = fuzz_module._harness
+
+    def unpicklable_summary(master_seed, index, *rest):
+        failure, summary = real_harness(master_seed, index, *rest)
+        if index == 1:
+            return failure, {"index": index, "bad": lambda: None}
+        return failure, summary
+
+    monkeypatch.setattr(fuzz_module, "_harness", unpicklable_summary)
+    report = fuzz(3, CAMPAIGN_SEED, shrink=False, jobs=2)
+    assert report.attempted == 3
+    assert [(q.index, q.reason, q.attempts)
+            for q in report.quarantined] == [(1, "crash", 1)]
 
 
 def test_campaign_survives_a_worker_that_dies(monkeypatch, tmp_path):
@@ -95,15 +116,6 @@ def test_campaign_survives_a_worker_that_dies(monkeypatch, tmp_path):
     assert report.attempted == straight.attempted == 4
     assert _failure_keys(report) == _failure_keys(straight)
     assert report.quarantined == straight.quarantined == []
-
-
-def test_serial_crash_propagates_directly(monkeypatch):
-    def exploding_generate(seed):
-        raise RuntimeError("injected serial crash")
-
-    monkeypatch.setattr(fuzz_module, "generate_program", exploding_generate)
-    with pytest.raises(RuntimeError, match="injected serial crash"):
-        fuzz(2, CAMPAIGN_SEED, shrink=False, quarantine=False)
 
 
 def test_cli_rejects_bad_jobs(capsys):

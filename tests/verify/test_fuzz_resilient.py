@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro.resilience import CheckpointError
+from repro.service import jobs as jobs_module
 from repro.verify import fuzz
 from repro.verify.fuzz import derive_seed
 
@@ -32,7 +33,7 @@ def _keys(report):
 
 @pytest.fixture(autouse=True)
 def _fast_backoff(monkeypatch):
-    monkeypatch.setattr(fuzz_module, "_RETRY_BACKOFF_S", 0.001)
+    monkeypatch.setattr(jobs_module, "RETRY_BACKOFF_S", 0.001)
 
 
 # -- quarantine ---------------------------------------------------------------

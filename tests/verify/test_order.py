@@ -62,8 +62,8 @@ def test_minmax_order_everywhere(level, machine):
 
 
 @pytest.mark.parametrize("kwargs", [{"allow_duplication": True},
-                                    {"rename_ahead": True}],
-                         ids=["duplication", "rename-ahead"])
+                                    {"rename_on_demand": False}],
+                         ids=["duplication", "no-rename-on-demand"])
 def test_optional_paths_order(kwargs):
     assert order_checked(MINMAX_C, **kwargs) == {5}
 

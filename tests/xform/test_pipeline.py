@@ -1,7 +1,11 @@
 """Tests for the Section 6 compilation flow."""
 
+from pathlib import Path
+
 import pytest
 
+import repro.xform.pipeline as pipeline_mod
+from repro import compile_c
 from repro.ir import gpr, verify_function, verify_reachable
 from repro.machine import rs6k
 from repro.sched import ScheduleLevel
@@ -88,14 +92,6 @@ class TestConfigKnobs:
             level=ScheduleLevel.USEFUL, post_bb_pass=False))
         assert report.bb_cycles == {}
 
-    def test_rename_ahead(self):
-        func = two_block_loop()
-        report = optimize(func, rs6k(), PipelineConfig(
-            level=ScheduleLevel.USEFUL, rename_ahead=True),
-            live_at_exit=frozenset({gpr(3)}))
-        assert report.rename is not None and len(report.rename) > 0
-        assert run_sum(func, 5) == 15
-
     def test_size_limits_skip_large_regions(self, figure2):
         import repro.sched.regions as regions_mod
         report = optimize(
@@ -125,3 +121,49 @@ class TestConfigKnobs:
         report = optimize(func, rs6k(),
                           PipelineConfig(level=ScheduleLevel.SPECULATIVE))
         assert report.elapsed_seconds > 0
+
+
+class TestIRWalks:
+    """A stage walks the IR (``pipeline.verify_function``) only when no
+    earlier walk of the same compile saw that IR: ``unroll`` and
+    ``rotate`` skip theirs when they changed nothing, but a compile
+    without strength reduction keeps its ``unroll`` walk, so the IR is
+    always walked before it is scheduled."""
+
+    LOOP_FREE = ("int f(int a, int b) { int c = a * 3; "
+                 "if (a > b) c = c + b; return c; }")
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        real = pipeline_mod.verify_function
+
+        def counting(func):
+            calls.append(func.name)
+            return real(func)
+
+        monkeypatch.setattr(pipeline_mod, "verify_function", counting)
+        return calls
+
+    @pytest.mark.parametrize("program", ["loop-free", "minmax"])
+    @pytest.mark.parametrize("strength_reduce", [True, False])
+    def test_unchanged_ir_is_walked_once(self, walks, program,
+                                         strength_reduce):
+        source = (self.LOOP_FREE if program == "loop-free" else
+                  (Path(__file__).parents[2] / "examples" / "minmax.c")
+                  .read_text())
+        config = PipelineConfig(strength_reduce=strength_reduce)
+        [unit] = compile_c(source, machine=rs6k(), level=config.level,
+                           config=config)
+        assert unit.report.unrolled == unit.report.rotated == []
+        # strength-reduce (or, without it, unroll), global-pass-1,
+        # global-pass-2 and bb-post; rotate changed nothing
+        assert walks == [unit.name] * 4
+
+    def test_unrolled_and_rotated_ir_is_walked(self, walks):
+        func = two_block_loop()
+        report = optimize(func, rs6k(), PipelineConfig(),
+                          live_at_exit=frozenset({gpr(3)}))
+        assert len(report.unrolled) == len(report.rotated) == 1
+        # every stage, unroll and rotate included
+        assert len(walks) == 6
