@@ -176,7 +176,7 @@ class TestFuzzMetrics:
         for program in doc["programs"]:
             assert {"motions_useful", "motions_speculative",
                     "spec_rejected", "ready_mean",
-                    "ready_max"} <= set(program)
+                    "ready_max", "asm_sha1"} <= set(program)
 
 
 class TestMissingInputFiles:
