@@ -23,10 +23,13 @@ instructions are scanned O(1) times instead of once per reachable pair
 ``tests/pdg/test_ddg_by_definition.py`` checks the builder and the
 reduction together against brute-force pairwise conflicts.
 
-The paper avoids materialising transitive edges; we build the natural edge
-set and provide a delay-aware :func:`transitive_reduce` that removes any
-edge implied by a longer-or-equal path, which the scheduler applies to keep
-ready-list bookkeeping small.
+The paper does not compute transitive edges ("((I1),(I3)) is not computed
+since it is transitive").  We build the natural edge set and remove, with
+the delay-aware :func:`transitive_reduce`, each intra-block edge implied
+by a longer-or-equal path: D and CP are computed within a block (Section
+5.2), and an unreduced block can have a larger D.  Interblock edges stay
+the natural set -- an implied one changes no schedule, and reducing them
+cost more than any other step of a compile.
 """
 
 from __future__ import annotations
@@ -515,17 +518,26 @@ def build_region_ddg(
     lists (:func:`_interblock_edges`), instead of re-scanning every
     ``(earlier, later)`` pair.  Instructions enter the graph block by
     block in that topological order, so every edge runs forward in
-    ``ddg.instructions`` (:attr:`DataDependenceGraph.forward_version`),
-    which the reduction takes as its order.
+    ``ddg.instructions`` (:attr:`DataDependenceGraph.forward_version`).
+
+    ``reduce`` runs :func:`transitive_reduce` on the intra-block edges
+    alone, before any interblock edge exists; the interblock edges stay
+    the natural Section 4.2 set.  Since every edge runs forward in block
+    order, no path joins two instructions of one block through another
+    block, so each block's edges -- the only ones D and CP read -- are
+    exactly :func:`build_block_ddg`'s.  An interblock edge a whole-graph
+    reduction would drop is implied by a path covering its separation,
+    so keeping it changes neither readiness nor any earliest start.
     """
     ddg = DataDependenceGraph()
     for block in blocks:
         _scan_block(ddg, block, machine)
-    if len(blocks) > 1:
-        _interblock_edges(ddg, blocks, reachable_pairs, machine)
     ddg.forward_version = ddg.version
     if reduce:
         transitive_reduce(ddg, machine)
+    if len(blocks) > 1:
+        _interblock_edges(ddg, blocks, reachable_pairs, machine)
+    ddg.forward_version = ddg.version
     return ddg
 
 
@@ -554,12 +566,15 @@ def transitive_reduce(ddg: DataDependenceGraph,
     Single-successor sources are skipped outright: a parallel multi-edge
     path would need a second out-edge to start from.
 
-    A graph as its builder left it is reduced in construction order
-    (every edge already runs forward in ``ddg.instructions``); a graph
-    mutated since is sorted first (:func:`topo_order`).  The removal set
-    is defined on the pre-removal snapshot, and every path between two
-    instructions stays between their positions in any topological order,
-    so every order removes the same edges.
+    The builders call it on intra-block edges only (a region graph gets
+    its interblock edges afterwards, see :func:`build_region_ddg`), but
+    it reduces any DAG.  A graph as its builder left it is reduced in
+    construction order (every edge already runs forward in
+    ``ddg.instructions``); a graph mutated since is sorted first
+    (:func:`topo_order`).  The removal set is defined on the pre-removal
+    snapshot, and every path between two instructions stays between
+    their positions in any topological order, so every order removes the
+    same edges.
     """
     order = (ddg.instructions if ddg.forward_version == ddg.version
              else topo_order(ddg))

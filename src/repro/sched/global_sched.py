@@ -25,8 +25,9 @@ dependence state of :mod:`repro.sched.soa`: each scan point walks the
 block's unissued candidates in collection order, keeps those whose
 dependence predecessors have all issued and whose earliest start is
 reached (a speculative one must also pass the Section 5.3 veto, or be
-admitted by a Section 4.2 rename), and issues the smallest priority row
-that has a free unit.  A traced, verified compile replays each sweep's
+admitted by a Section 4.2 rename; its verdict stands until a motion into
+the block or a change of the graph), and issues the smallest priority
+row that has a free unit.  A traced, verified compile replays each sweep's
 decision events through the order checker (:mod:`repro.verify.order`),
 which recomputes readiness, D and CP from their definitions and holds
 every issue to the Section 5.2 order.
@@ -80,6 +81,10 @@ _UNIT_LIST = tuple(UnitType)
 #: the full decision order of a priority row: duplication class first
 #: (a global_sched refinement), then the Section 5.2 steps
 _FULL_PRIORITY_STEPS = ("duplication-class", *PRIORITY_STEPS)
+
+#: a speculative candidate's Section 5.3 verdict slot (0: no veto stands)
+_UNJUDGED = 1
+_VETOED = 2
 
 #: How many extra cycles a block may stay open to host duplicated motion
 #: (Definition 6); bounds the code-size / schedule-length trade.
@@ -240,7 +245,7 @@ def _schedule_block(
         _note_block_entry(tracer, metrics, label, carry_cycles,
                           equiv, speculative, pending)
     #: ids of instructions whose live-on-exit veto was already reported
-    #: this pass (the scan re-judges them at every scan point)
+    #: this pass (a motion or a graph change has it judged again)
     vetoes_logged: set[int] = set()
 
     # One slot per candidate in collection order, so a slot number is
@@ -266,7 +271,8 @@ def _schedule_block(
     units = [c.ins.unit.index for c in cands]
     #: speculative candidates answer to the Section 5.3 veto; duplication
     #: needs none (every path into the join still runs a copy)
-    veto = [not (c.useful or c.duplicate_into) for c in cands]
+    unjudged = bytearray(0 if c.useful or c.duplicate_into else _UNJUDGED
+                         for c in cands)
     n_own = len(block.instrs)
     terminator = block.terminator
     term = n_own - 1 if terminator is not None else -1
@@ -299,6 +305,15 @@ def _schedule_block(
         return False
 
     blocks_motion = live_tracker.blocks_motion
+    ddg = pdg.ddg
+    #: per slot, the Section 5.3 verdict since the last motion into this
+    #: block or change of the graph: 0 no veto stands (none applies, or
+    #: the candidate passed it or was renamed past it), _UNJUDGED, or
+    #: _VETOED.  Within a pass only record_motion writes the live-on-exit
+    #: store, only a successful rename changes a candidate's definitions
+    #: and a failed one changes nothing, so no verdict moves in between.
+    verdict = bytearray(unjudged)
+    judged_at = ddg.version
     unit_counts = [machine.unit_count(unit) for unit in _UNIT_LIST]
     cycle = 0
     done = not n_own
@@ -306,7 +321,7 @@ def _schedule_block(
         free = unit_counts.copy()
         budget = machine.total_issue_width
         issued_count = 0
-        version = pdg.ddg.version
+        version = ddg.version
         hold_for_dup = dup_fill_wanted(cycle)
 
         first_scan = True
@@ -315,21 +330,29 @@ def _schedule_block(
             state.sync()
             blocked = state.blocked
             earliest = state.earliest
+            if ddg.version != judged_at:
+                verdict = bytearray(unjudged)
+                judged_at = ddg.version
             ready = []
             for seq in walk:
                 i = idx[seq]
                 if i >= 0 and (blocked[i] or earliest[i] > cycle):
                     continue
-                if veto[seq] and blocks_motion(cands[seq].ins, label):
-                    if not _renamed_past_veto(
-                            cands[seq], label, pdg, live_tracker,
-                            rename_on_demand, vetoes_logged, tracer,
-                            metrics):
+                if verdict[seq]:
+                    if verdict[seq] == _VETOED:
                         continue
-                    # judge the rest of the scan on the renamed graph
-                    state.sync()
-                    blocked = state.blocked
-                    earliest = state.earliest
+                    if blocks_motion(cands[seq].ins, label):
+                        if not _renamed_past_veto(
+                                cands[seq], label, pdg, live_tracker,
+                                rename_on_demand, vetoes_logged, tracer,
+                                metrics):
+                            verdict[seq] = _VETOED
+                            continue
+                        # judge the rest of the scan on the renamed graph
+                        state.sync()
+                        blocked = state.blocked
+                        earliest = state.earliest
+                    verdict[seq] = 0
                 ready.append(seq)
             term_ready = (
                 own_left == 1 and term >= 0 and not hold_for_dup
@@ -401,6 +424,7 @@ def _schedule_block(
                     # live range down to its old home; record it so later
                     # speculative legality checks see fresh liveness.
                     live_tracker.record_motion(ins, cand.home, label)
+                    verdict = bytearray(unjudged)
                 done = seq == term
             if (not own_left and terminator is None
                     and not dup_fill_wanted(cycle)):
@@ -425,7 +449,7 @@ def _schedule_block(
         # block open (it expires with the fill budget), a rename changed
         # the graph, something ready has a unit on this machine, or some
         # start lies ahead
-        if not (issued_count or hold_for_dup or pdg.ddg.version != version
+        if not (issued_count or hold_for_dup or ddg.version != version
                 or _select(ready, rows, units, unit_counts) >= 0
                 or _waiting_on_time(walk, idx, state, cycle)
                 or (own_left == 1 and term_idx >= 0
@@ -550,7 +574,8 @@ def _note_veto(tracer, metrics, vetoes_logged: set[int] | None,
                live_tracker: LiveOnExitTracker, cand: Candidate, label: str,
                regs: tuple = ()) -> None:
     """Report a Section 5.3 live-on-exit veto, once per candidate per
-    block pass (the readiness scan re-evaluates every cycle)."""
+    block pass (the scan judges a candidate again after each motion into
+    the block or change of the graph)."""
     if not (tracer.enabled or metrics.enabled):
         return
     if vetoes_logged is None or id(cand.ins) in vetoes_logged:

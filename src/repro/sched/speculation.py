@@ -289,11 +289,9 @@ def _rename_web(ins: Instruction, home: BasicBlock, position: int, reg: Reg,
     and drop the anti/output dependence edges the old name induced."""
     fresh = func.new_reg(reg.rclass)
     ins.defs = tuple(fresh if r == reg else r for r in ins.defs)
-    renamed_users: list[Instruction] = []
     for user in home.instrs[position + 1:]:
         if reg in user.reg_uses():
             user.rename_uses_of(reg, fresh)
-            renamed_users.append(user)
         if reg in user.reg_defs():
             break
     # Anti/output edges into `ins` on the old name are now spurious; so are

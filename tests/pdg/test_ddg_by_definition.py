@@ -14,6 +14,13 @@ DDG whose weight covers the pair's required separation.  Brute force
 over all pairs -- nothing of the builder's per-block summaries or the
 reduction's shared tables is reused.
 
+Two more pin the shape of a region DDG: the reduction runs inside each
+block only.  Every conflicting pair of two different blocks has a
+direct edge that covers its separation (the interblock edges are the
+natural Section 4.2 set), and each block's own edges are exactly its
+block DDG's, so D and CP -- computed "locally (within a basic block)",
+Section 5.2 -- are the same over either graph.
+
 The pipeline tests here hold the rest of the DDG's use: reduction never
 changes a schedule on the corpus (though it may lower D, pinned on one
 block), and recomputing every cached analysis at each use changes none.
@@ -36,7 +43,7 @@ from repro.sched.heuristics import local_priorities
 from repro.sched.regions import build_region_pdg, find_regions
 from repro.verify.fuzz import derive_seed
 from repro.verify.generator import generate_program
-from repro.verify.order import separation
+from repro.verify.order import d_and_cp, separation
 
 CORPUS_SEED = 2026
 CORPUS_SIZE = 8
@@ -128,6 +135,55 @@ def test_region_ddg_meets_its_definition(corpus, machine_name):
         assert ddg_violations(func, machine) == []
 
 
+def interblock_gaps(func, machine):
+    """Conflicting pairs of two different blocks that no direct edge
+    covers, over every region."""
+    missing = []
+    for spec in find_regions(func):
+        pdg = build_region_pdg(func, machine, spec)
+        blocks = pdg._ddg_blocks()
+        home = {id(ins): b.label for b in blocks for ins in b.instrs}
+        for a, b, need in conflicts(blocks, pdg.reachable_pairs, machine):
+            if home[id(a)] == home[id(b)]:
+                continue
+            edge = pdg.ddg.edge(a, b)
+            if edge is None or separation(edge, machine) < need:
+                missing.append((a, b, need))
+    return missing
+
+
+def own_edges(ddg, block):
+    """``block``'s intra-block edges as (src uid, dst uid, kind, delay)."""
+    inside = {id(ins) for ins in block.instrs}
+    return sorted((e.src.uid, e.dst.uid, e.kind.value, e.delay)
+                  for e in ddg.iter_edges()
+                  if id(e.src) in inside and id(e.dst) in inside)
+
+
+@pytest.mark.parametrize("machine_name", ["rs6k", "vliw8"])
+def test_interblock_pairs_have_a_covering_direct_edge(corpus,
+                                                      machine_name):
+    machine = CONFIGS[machine_name]()
+    for func in corpus_functions(corpus, machine):
+        assert interblock_gaps(func, machine) == []
+
+
+@pytest.mark.parametrize("machine_name", ["rs6k", "vliw8"])
+def test_each_block_keeps_its_own_block_ddg(corpus, machine_name):
+    machine = CONFIGS[machine_name]()
+    checked = 0
+    for func in corpus_functions(corpus, machine):
+        for spec in find_regions(func):
+            pdg = build_region_pdg(func, machine, spec)
+            for block in pdg._ddg_blocks():
+                alone = build_block_ddg(block, machine)
+                assert own_edges(pdg.ddg, block) == own_edges(alone, block)
+                assert (d_and_cp([block], pdg.ddg, machine)
+                        == d_and_cp([block], alone, machine))
+                checked += len(block.instrs) > 1
+    assert checked
+
+
 def _one_region_function(corpus):
     """A corpus function with an interblock memory edge in its DDG."""
     machine = CONFIGS["rs6k"]()
@@ -178,6 +234,7 @@ def test_rejects_an_interblock_memory_edge_dropped(corpus, monkeypatch):
 
     monkeypatch.setattr(region_pdg_module, "build_region_ddg", dropping)
     assert ddg_violations(func, CONFIGS["rs6k"]())
+    assert interblock_gaps(func, CONFIGS["rs6k"]())
 
 
 # -- the DDG in the pipeline ----------------------------------------------

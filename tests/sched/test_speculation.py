@@ -125,3 +125,79 @@ class TestLiveOnExitTracker:
         store = Instruction(Opcode.ST, uses=(gpr(1), gpr(2)))
         tracker.record_motion(store, "BL5", "CL.0")
         assert {k: set(v) for k, v in tracker._live_out.items()} == before
+
+
+class TestVerdictsJudgedOnce:
+    """A speculative candidate's Section 5.3 verdict can change only
+    when a motion into the block writes the live-on-exit store or the
+    dependence graph changes (a rename): the block pass judges each
+    (instruction, target) pair at most once in between."""
+
+    @staticmethod
+    def judgments(monkeypatch):
+        """Log veto judgments, motions and graph changes in order."""
+        from repro.pdg.data_deps import DataDependenceGraph
+
+        log = []
+        real_blocks = LiveOnExitTracker.blocks_motion
+        real_record = LiveOnExitTracker.record_motion
+
+        def blocks_motion(self, ins, target):
+            log.append(("judge", ins, target))
+            return real_blocks(self, ins, target)
+
+        def record_motion(self, ins, src, dst):
+            log.append(("motion",))
+            return real_record(self, ins, src, dst)
+
+        monkeypatch.setattr(LiveOnExitTracker, "blocks_motion",
+                            blocks_motion)
+        monkeypatch.setattr(LiveOnExitTracker, "record_motion",
+                            record_motion)
+        for name in ("add_edge", "remove_edge"):
+            def changing(self, *args, _real=getattr(DataDependenceGraph,
+                                                    name)):
+                version = self.version
+                _real(self, *args)
+                if self.version != version:
+                    log.append(("change",))
+
+            monkeypatch.setattr(DataDependenceGraph, name, changing)
+        return log
+
+    @staticmethod
+    def rejudged(log):
+        """(uid, target) pairs judged again with no motion or graph
+        change since their last judgment."""
+        seen, again = set(), []
+        for event in log:
+            if event[0] != "judge":
+                seen.clear()
+                continue
+            key = (id(event[1]), event[2])
+            if key in seen:
+                again.append((event[1].uid, event[2]))
+            seen.add(key)
+        return again
+
+    def test_x_example_without_renaming(self, monkeypatch):
+        log = self.judgments(monkeypatch)
+        func = x_example()
+        report = global_schedule(func, rs6k(), ScheduleLevel.SPECULATIVE,
+                                 rename_on_demand=False)
+        assert len([m for m in report.speculative_motions
+                    if m.opcode == "LI"]) == 1
+        assert any(event[0] == "judge" for event in log)
+        assert self.rejudged(log) == []
+
+    def test_generated_programs_with_renaming(self, monkeypatch):
+        from repro.compiler import compile_c
+        from repro.verify.fuzz import derive_seed
+        from repro.verify.generator import generate_program
+
+        log = self.judgments(monkeypatch)
+        for i in range(6):
+            compile_c(generate_program(derive_seed(1, i)).source,
+                      machine=rs6k(), level=ScheduleLevel.SPECULATIVE)
+        assert sum(event[0] == "judge" for event in log) > 50
+        assert self.rejudged(log) == []
