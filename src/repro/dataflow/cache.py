@@ -10,10 +10,9 @@ invalidates it.
 
 The cache also owns the function's *dense* substrate, so one interning
 pass is shared by the whole pipeline: the :class:`RegTable` (``Reg`` ->
-bit; the driver hands its dict to the scheduler's live-on-exit trackers
-as the ``intern_cache``), the :class:`DenseCFG` CSR snapshot, and the
-per-block use/def masks (rebuilt by the seed on every ``LivenessInfo``
-construction, cached here across same-epoch solves).
+bit; the scheduler's live-on-exit trackers keep the liveness solution's
+masks over it), the :class:`DenseCFG` CSR snapshot, and the per-block
+use/def masks (cached here across same-epoch solves).
 
 Invalidation is explicit and two-tiered, because the pipeline's stages
 differ in what they can break:

@@ -4,14 +4,11 @@ The dense liveness solve and the scheduler's live-on-exit tracker speak
 the same bitmask dialect: a register is a bit position, a register set is
 an int.  :class:`RegTable` owns the ``Reg -> bit`` dict for one function so
 the interning pass happens once and every downstream mask is directly
-comparable.
-
-The dict uses the exact convention of the PR-5 tracker
-(:class:`repro.sched.speculation.LiveOnExitTracker`): the next bit is
-``len(dict)``.  That makes the table's dict directly shareable as the
-``regbit`` half of the driver's ``intern_cache`` -- trackers may intern
-*new* registers behind the table's back, so the reverse row is re-synced
-lazily from the dict (insertion order == bit order) before materializing.
+comparable: the tracker keeps the liveness solution's own masks
+(:meth:`repro.dataflow.liveness.LivenessInfo.live_out_masks`) and interns
+the registers a rename creates through :meth:`RegTable.mask_of`.  The
+next bit is ``len(dict)``, so insertion order is bit order and the
+reverse row is re-synced lazily from the dict before materializing.
 """
 
 from __future__ import annotations
@@ -31,13 +28,11 @@ class RegTable:
 
     __slots__ = ("bit", "mask", "_regs")
 
-    def __init__(self, bit: dict[Reg, int] | None = None):
-        #: Reg -> bit position; shareable with the scheduler's intern cache
-        self.bit: dict[Reg, int] = {} if bit is None else bit
-        #: Reg -> ``1 << bit`` single-bit mask.  A lazily-filled cache for
-        #: the interning hot loops: one dict hit replaces a lookup plus a
-        #: fresh big-int shift.  May trail ``bit`` (trackers intern behind
-        #: the table's back), so readers fall back to ``bit`` on a miss.
+    def __init__(self):
+        #: Reg -> bit position
+        self.bit: dict[Reg, int] = {}
+        #: Reg -> ``1 << bit``, written with ``bit``: in the interning hot
+        #: loops one dict hit replaces a lookup plus a fresh big-int shift
         self.mask: dict[Reg, int] = {}
         self._regs: list[Reg] = []
 
@@ -52,15 +47,13 @@ class RegTable:
         for reg in regs:
             m = masks.get(reg)
             if m is None:
-                b = bit.get(reg)
-                if b is None:
-                    b = bit[reg] = len(bit)
+                b = bit[reg] = len(bit)
                 m = masks[reg] = 1 << b
             mask |= m
         return mask
 
     def _row(self) -> list[Reg]:
-        """bit position -> Reg, re-synced if the shared dict grew."""
+        """bit position -> Reg, re-synced if the dict grew."""
         regs = self._regs
         if len(regs) != len(self.bit):
             # bits are assigned as len(dict), so insertion order IS bit order

@@ -11,11 +11,13 @@ caller observes (e.g. ``min``/``max`` in the running example, or everything a
 trailing RET uses) can be declared live-out of the function.
 
 The solve itself is dense: registers are interned to bit positions in a
-:class:`repro.dataflow.dense.RegTable` (one table per function, shared
-with the scheduler's live-on-exit tracker), blocks are int indices into a
-:class:`repro.cfg.dense.DenseCFG` snapshot, and the fixed point runs on
-int masks in :func:`repro.dataflow.engine.solve_backward_masks`.  Query
-results materialize back to ``frozenset[Reg]`` lazily and are memoised.
+:class:`repro.dataflow.dense.RegTable` (one table per function), blocks
+are int indices into a :class:`repro.cfg.dense.DenseCFG` snapshot, and
+the fixed point runs on int masks in
+:func:`repro.dataflow.engine.solve_backward_masks`.  The scheduler's
+live-on-exit tracker takes the solution as masks over the same table
+(:meth:`LivenessInfo.live_out_masks`); the set queries materialize back
+to ``frozenset[Reg]`` lazily and are memoised.
 ``tests/dataflow/test_dense_equivalence.py`` holds the solution to its
 definition: a register is live out of a block iff some path from there
 reaches a use of it before any definition.
@@ -66,18 +68,14 @@ def block_use_def_masks(
             for reg in ins.uses:
                 m = mget(reg)
                 if m is None:
-                    b = bit.get(reg)
-                    if b is None:
-                        b = bit[reg] = len(bit)
+                    b = bit[reg] = len(bit)
                     m = masks[reg] = 1 << b
                 if not defm & m:
                     usem |= m
             for reg in ins.defs:
                 m = mget(reg)
                 if m is None:
-                    b = bit.get(reg)
-                    if b is None:
-                        b = bit[reg] = len(bit)
+                    b = bit[reg] = len(bit)
                     m = masks[reg] = 1 << b
                 defm |= m
         use_m[i] = usem
@@ -147,13 +145,12 @@ class LivenessInfo:
             self._in_sets[label] = regs
         return regs
 
-    def live_out_map(self) -> dict[str, set[Reg]]:
-        """A mutable copy for the scheduler's dynamic updates."""
-        regs_of = self.table.regs_of
+    def live_out_masks(self) -> dict[str, int]:
+        """Label -> live-on-exit mask over :attr:`table`: a fresh dict,
+        the store the scheduler's dynamic updates write."""
         out_m = self._out_m
         index = self.dense.index
-        return {b.label: regs_of(out_m[index[b.label]])
-                for b in self.func.blocks}
+        return {b.label: out_m[index[b.label]] for b in self.func.blocks}
 
 
 def compute_liveness(func: Function,

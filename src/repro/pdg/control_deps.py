@@ -11,7 +11,9 @@ is acyclic and describes a single iteration of the enclosing loop.
 The computation: for every branch edge ``A -> C``, walk the postdominator
 tree from ``C`` up to (but excluding) ``ipdom(A)``; every node on that walk
 is control dependent on ``(A, C)``.  This is the classic linear-time FOW
-construction.
+construction.  It runs on the region's own postdominator tree
+(:attr:`repro.pdg.RegionPDG.pdom`), the one tree the CSPDG's equivalence
+classes also read, so a region builds it once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from ..cfg.digraph import Digraph
-from ..cfg.dominators import DominatorTree, postdominator_tree
+from ..cfg.dominators import DominatorTree
 
 Node = Hashable
 
@@ -57,30 +59,19 @@ def forward_graph(graph: Digraph, dom: DominatorTree) -> Digraph:
 
 
 def control_dependences(
-    forward: Digraph, entry: Node, exit_node: Node
+    forward: Digraph, pdom: DominatorTree
 ) -> dict[Node, frozenset[ControlDep]]:
     """Control-dependence sets of every node of the acyclic ``forward`` graph.
 
-    Nodes with no successors are implicitly connected to ``exit_node`` for
-    the postdominator computation (every forward path must reach EXIT).
-    Returns a map ``node -> set of ControlDep``; nodes that always execute
-    (e.g. the region header) map to the empty set.
+    ``pdom`` is the postdominator tree of ``forward``, rooted at its exit:
+    every node must reach that exit (a region's forward graph sends each
+    sink there), so every node has a place in the tree.  Returns a map
+    ``node -> set of ControlDep``; nodes that always execute (e.g. the
+    region header) map to the empty set.
     """
-    # Ensure every node reaches EXIT so postdominators are well defined.
-    closed = Digraph()
-    for node in forward.nodes:
-        closed.add_node(node)
-    for edge in forward.edges():
-        closed.add_edge(*edge)
-    for node in forward.nodes:
-        if node != exit_node and not closed.succs(node):
-            closed.add_edge(node, exit_node)
-
-    pdom = postdominator_tree(closed, exit_node)
-    deps: dict[Node, set[ControlDep]] = {n: set() for n in closed.nodes}
-
-    for branch in closed.nodes:
-        succs = closed.succs(branch)
+    deps: dict[Node, set[ControlDep]] = {n: set() for n in forward.nodes}
+    for branch in forward.nodes:
+        succs = forward.succs(branch)
         if len(succs) < 2:
             continue
         branch_parent = pdom.idom(branch)

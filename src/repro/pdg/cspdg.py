@@ -53,7 +53,7 @@ class CSPDG:
         self.exit = exit_node
         self.dom = dom
         self.pdom = pdom
-        self._cd = control_dependences(forward, entry, exit_node)
+        self._cd = control_dependences(forward, pdom)
         self.blocks: list[Node] = list(
             blocks if blocks is not None
             else [n for n in forward.nodes if n not in (entry, exit_node)]

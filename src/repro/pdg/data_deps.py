@@ -13,7 +13,11 @@ when:
 Only flow edges carry (potentially non-zero) machine delays; all other
 kinds carry zero (Section 4.2).  Dependences are computed both within
 blocks and between every ordered pair of blocks ``(A, B)`` with ``B``
-reachable from ``A`` in the forward control flow graph.
+reachable from ``A`` in the forward control flow graph.  Which block
+reaches which comes from the region's reachability closure
+(:attr:`repro.pdg.RegionPDG.up`, one bitmask per block over the
+topological positions of the blocks that reach it), computed once per
+region.
 
 The interblock pass summarises each block's defs/uses/memory traffic
 *once* and merges the summaries of a block's forward-reachable
@@ -216,17 +220,16 @@ class DenseDDG:
     start-to-start separations in the parallel ``succ_w`` slice
     (``exec_time(src) + delay`` for flow edges, 0 otherwise -- the weights
     are machine-dependent, which is why the snapshot is taken against a
-    machine model).  ``pred_*`` is the transpose.  The schedulers read
-    dependences only from these int arrays: the basic-block pass
-    directly, the global block pass through the counters of
-    :class:`~repro.sched.soa.DenseDependenceState`.  Edge *kind*/*reg*
+    machine model).  ``indegree[i]`` counts the predecessors of ``i``.
+    The schedulers read dependences only from these int arrays: the
+    basic-block pass directly, the global block pass through the counters
+    of :class:`~repro.sched.soa.DenseDependenceState`.  Edge *kind*/*reg*
     metadata stays behind on the object graph, which remains the source
     of truth for mutation.
     """
 
     __slots__ = ("version", "n", "instrs", "index",
-                 "succ_off", "succ_idx", "succ_w",
-                 "pred_off", "_pi", "_pw")
+                 "succ_off", "succ_idx", "succ_w", "indegree")
 
     def __init__(self, ddg: DataDependenceGraph, machine: MachineModel):
         from array import array
@@ -245,15 +248,9 @@ class DenseDDG:
                 si.append(index[id(edge.dst)])
                 sw.append(exec_i + edge.delay if edge.kind is flow else 0)
             succ_off[i + 1] = len(si)
-        # predecessor *degrees* (pred_off) are cheap and always needed
-        # (the fresh-state fast path reads only them); the transposed
-        # posting lists are built lazily on first pred_idx/pred_w access
-        # -- a block pass with no carried timing never pays for them
-        pred_off = [0] * (n + 1)
+        indegree = [0] * n
         for j in si:
-            pred_off[j + 1] += 1
-        for j in range(n):
-            pred_off[j + 1] += pred_off[j]
+            indegree[j] += 1
         self.version = ddg.version
         self.n = n
         self.instrs = list(instrs)
@@ -261,54 +258,13 @@ class DenseDDG:
         self.succ_off = array("i", succ_off)
         self.succ_idx = array("i", si)
         self.succ_w = array("i", sw)
-        self.pred_off = array("i", pred_off)
-        self._pi = None
-        self._pw = None
-
-    def _transpose(self):
-        """Counting-sort transpose of the succ CSR -- pure int work, no
-        second walk of the edge objects (within one node's pred list the
-        order is by source index; no consumer is order-sensitive)."""
-        from array import array
-
-        succ_off = self.succ_off
-        si = self.succ_idx
-        sw = self.succ_w
-        cursor = list(self.pred_off)
-        m = len(si)
-        pi = [0] * m
-        pw = [0] * m
-        for i in range(self.n):
-            for k in range(succ_off[i], succ_off[i + 1]):
-                j = si[k]
-                p = cursor[j]
-                pi[p] = i
-                pw[p] = sw[k]
-                cursor[j] = p + 1
-        self._pi = array("i", pi)
-        self._pw = array("i", pw)
-
-    @property
-    def pred_idx(self):
-        if self._pi is None:
-            self._transpose()
-        return self._pi
-
-    @property
-    def pred_w(self):
-        if self._pw is None:
-            self._transpose()
-        return self._pw
+        self.indegree = array("i", indegree)
 
     def nbytes(self) -> int:
-        """Approximate footprint of the *materialized* flat tables
-        (observability; does not force the lazy transpose)."""
-        total = 0
-        for arr in (self.succ_off, self.succ_idx, self.succ_w,
-                    self.pred_off, self._pi, self._pw):
-            if arr is not None:
-                total += arr.itemsize * len(arr)
-        return total
+        """Approximate footprint of the flat tables (observability)."""
+        return sum(arr.itemsize * len(arr)
+                   for arr in (self.succ_off, self.succ_idx, self.succ_w,
+                               self.indegree))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<DenseDDG {self.n} instrs, {len(self.succ_idx)} edges, "
@@ -426,11 +382,11 @@ class _BlockSummary:
 def _interblock_edges(
     ddg: DataDependenceGraph,
     blocks: list[BasicBlock],
-    reachable_pairs: set[tuple[str, str]],
+    up: list[int],
     machine: MachineModel,
 ) -> None:
-    """Dependences into each block from every forward-reachable earlier
-    block, matched through per-register posting lists.
+    """Dependences into each block from every earlier block that reaches
+    it (the bits of ``up``), matched through per-register posting lists.
 
     Each register maps to the (block index, instruction list) postings of
     the blocks that define or use it, so a later block only ever touches
@@ -454,35 +410,32 @@ def _interblock_edges(
         if summary.mem_ops:
             mem_at.append((i, summary.mem_ops))
 
-    labels = [block.label for block in blocks]
     flow_delay = machine.flow_delay
     add_edge = ddg.add_edge
     no_postings: list[tuple[int, list[Instruction]]] = []
     for j, later in enumerate(blocks):
-        later_label = later.label
-        srcs = {i for i in range(j)
-                if (labels[i], later_label) in reachable_pairs}
+        srcs = up[j]
         if not srcs:
             continue
         for b in later.instrs:
             for reg in b.reg_uses():
                 for i, instrs in defs_at.get(reg, no_postings):
-                    if i in srcs:
+                    if srcs >> i & 1:
                         for a in instrs:
                             add_edge(a, b, DepKind.FLOW,
                                      flow_delay(a, b, reg), reg)
             for reg in b.reg_defs():
                 for i, instrs in uses_at.get(reg, no_postings):
-                    if i in srcs:
+                    if srcs >> i & 1:
                         for a in instrs:
                             add_edge(a, b, DepKind.ANTI, 0, reg)
                 for i, instrs in defs_at.get(reg, no_postings):
-                    if i in srcs:
+                    if srcs >> i & 1:
                         for a in instrs:
                             add_edge(a, b, DepKind.OUTPUT, 0, reg)
             if b.opcode.touches_memory:
                 for i, instrs in mem_at:
-                    if i in srcs:
+                    if srcs >> i & 1:
                         for a in instrs:
                             if may_conflict(a, None, b, None):
                                 add_edge(a, b, DepKind.MEM, 0)
@@ -501,17 +454,18 @@ def build_block_ddg(block: BasicBlock, machine: MachineModel,
 
 def build_region_ddg(
     blocks: list[BasicBlock],
-    reachable_pairs: set[tuple[str, str]],
+    up: list[int],
     machine: MachineModel,
     *, reduce: bool = True,
 ) -> DataDependenceGraph:
     """DDG over a region.
 
     ``blocks`` must be in topological order of the region's forward CFG;
-    ``reachable_pairs`` contains every ordered pair of labels ``(A, B)``
-    with ``B`` reachable from ``A`` along forward edges (Section 4.2:
-    "for each pair A and B of basic blocks such that B is reachable from
-    A ... the interblock data dependences are computed").
+    bit ``i`` of ``up[j]`` is set when ``blocks[j]`` is reachable from
+    ``blocks[i]`` along forward edges (Section 4.2: "for each pair A and
+    B of basic blocks such that B is reachable from A ... the interblock
+    data dependences are computed") -- :attr:`repro.pdg.RegionPDG.up`,
+    whose positions are these indices.
 
     Each block is scanned exactly once (intra-block edges + its summary);
     cross-block dependences are then matched through per-register posting
@@ -536,7 +490,7 @@ def build_region_ddg(
     if reduce:
         transitive_reduce(ddg, machine)
     if len(blocks) > 1:
-        _interblock_edges(ddg, blocks, reachable_pairs, machine)
+        _interblock_edges(ddg, blocks, up, machine)
     ddg.forward_version = ddg.version
     return ddg
 

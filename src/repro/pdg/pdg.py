@@ -8,6 +8,9 @@ loops.  Its PDG bundles:
   nodes*, plus a virtual EXIT),
 * dominator / postdominator trees of that forward graph,
 * the CSPDG (control dependences, equivalence classes, speculation degrees),
+* its reachability closure, as bitmasks over topological positions,
+  which the interblock DDG pass, the live-on-exit tracker and the
+  verifier all read,
 * the instruction-level data dependence graph with machine delays, covering
   every ordered pair of reachable blocks.
 
@@ -114,14 +117,17 @@ class RegionPDG:
             n for n in self.forward.topological_order(header_label)
             if n != REGION_EXIT
         ]
-        self.reachable_pairs = self._reachable_pairs()
+        #: node -> its index in :attr:`topo_labels`
+        self.position = {n: i for i, n in enumerate(self.topo_labels)}
+        #: per position, the positions reachable from it / reaching it by
+        #: a non-empty forward path, as bitmasks
+        self.down, self.up = self._closure()
         # module-global lookup by default so chaos tooling can swap the
         # builder; callers that must not see such patches (the schedule
         # verifier) inject their own ``ddg_builder``
         builder = ddg_builder if ddg_builder is not None else build_region_ddg
         self.ddg: DataDependenceGraph = builder(
-            self._ddg_blocks(), self.reachable_pairs, machine,
-            reduce=reduce_ddg,
+            self._ddg_blocks(), self.up, machine, reduce=reduce_ddg,
         )
 
     # -- construction helpers ------------------------------------------------
@@ -167,15 +173,26 @@ class RegionPDG:
                 graph.add_edge(node, REGION_EXIT)
         return graph
 
-    def _reachable_pairs(self) -> set[tuple[str, str]]:
-        pairs: set[tuple[str, str]] = set()
-        for node in self.topo_labels:
-            reached = self.forward.reachable_from(node)
-            reached.discard(node)
-            reached.discard(REGION_EXIT)
-            for dst in reached:
-                pairs.add((node, dst))
-        return pairs
+    def _closure(self) -> tuple[list[int], list[int]]:
+        """:attr:`down` in one reverse-topological pass and :attr:`up` in
+        one topological pass: a node's successors all come later in the
+        order and its predecessors earlier."""
+        succs, preds = self.forward.adjacency()
+        position = self.position
+        labels = self.topo_labels
+        down = [0] * len(labels)
+        for i in range(len(labels) - 1, -1, -1):
+            for succ in succs[labels[i]]:
+                j = position.get(succ)  # REGION_EXIT has no position
+                if j is not None:
+                    down[i] |= down[j] | 1 << j
+        up = [0] * len(labels)
+        for i, label in enumerate(labels):
+            for pred in preds[label]:
+                j = position.get(pred)  # None: unreachable from the header
+                if j is not None:
+                    up[i] |= up[j] | 1 << j
+        return down, up
 
     def _ddg_blocks(self) -> list[BasicBlock]:
         """Region blocks (real + pseudo) in forward topological order."""
@@ -192,6 +209,13 @@ class RegionPDG:
     @property
     def member_labels(self) -> set[str]:
         return set(self._member_labels)
+
+    def reaches(self, a: str, b: str) -> bool:
+        """Does a non-empty forward path lead from ``a`` to ``b``?  False
+        when either is not a node of the region graph."""
+        i = self.position.get(a)
+        j = self.position.get(b)
+        return i is not None and j is not None and bool(self.down[i] >> j & 1)
 
     def is_abstract(self, node: str) -> bool:
         return node in self._pseudo_blocks

@@ -2,9 +2,9 @@
 
 Ties region identification, liveness, and per-region scheduling together:
 regions are visited innermost first, every upward motion's liveness effect
-is shared across regions through one mutable live-on-exit map, and the
-Section 6 policy filters (two inner levels only, small regions only,
-reducible only) can be switched on or off.
+is shared across regions through one mutable label -> live-on-exit mask
+store, and the Section 6 policy filters (two inner levels only, small
+regions only, reducible only) can be switched on or off.
 
 The full compilation flow of Section 6 (unroll, schedule, rotate, schedule
 again, post-pass block scheduling) lives in :mod:`repro.xform.pipeline`;
@@ -114,16 +114,8 @@ def global_schedule(
 
     if live_at_exit is None:
         live_at_exit = default_live_at_exit(func)
-    live_out_map = analyses.liveness(live_at_exit).live_out_map()
-    # one interning cache for the whole function: every region's tracker
-    # shares the same live-out store, so label masks built for one region
-    # stay valid for the next (the dual-write invariant is store-wide).
-    # The register half is the AnalysisCache's RegTable dict -- liveness,
-    # interference and the trackers then agree on bit positions and the
-    # function is interned once per lifetime, not once per sweep; the
-    # label-mask half must stay per-sweep (live_out_map is a fresh
-    # mutable copy each sweep)
-    intern_cache = (analyses.reg_table().bit, {})
+    liveness = analyses.liveness(live_at_exit)
+    live_out = liveness.live_out_masks()
 
     for spec in regions:
         if region_filter is not None and not region_filter(spec):
@@ -142,9 +134,8 @@ def global_schedule(
                 metrics.inc("sched.regions.skipped")
             continue
         pdg = build_region_pdg(func, machine, spec)
-        tracker = LiveOnExitTracker(live_out_map, pdg.forward,
-                                    metrics=metrics,
-                                    intern_cache=intern_cache)
+        tracker = LiveOnExitTracker(live_out, liveness.table, pdg,
+                                    metrics=metrics)
         region_report = schedule_region(
             pdg, level, tracker,
             max_speculation=max_speculation,

@@ -2,8 +2,9 @@
 
 :class:`repro.pdg.data_deps.DenseDDG` (built via
 ``DataDependenceGraph.to_dense``) interns a region's instructions to
-dense indices and flattens the adjacency to CSR posting lists with
-precomputed edge weights.  :class:`DenseDependenceState` keeps the
+dense indices and flattens the successor lists to CSR posting lists with
+precomputed edge weights, plus in-degrees.  :class:`DenseDependenceState`
+keeps the
 unfulfilled-predecessor counters, earliest starts and issue cycles of
 the whole region as flat ``array('i')`` / ``bytearray`` tables indexed by
 that interning, so the Section 5.1 readiness scan of
@@ -13,7 +14,7 @@ Graph mutations (Section 4.2 renames, Definition 6 duplication) bump
 ``DataDependenceGraph.version``; :meth:`DenseDependenceState.sync` then
 retakes the snapshot.  Indices are stable (the instruction list is
 append-only), so fulfilment flags and issue cycles survive and only the
-derived counters are recomputed.
+derived counters are recomputed, in one walk over the successor rows.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class DenseDependenceState:
 
     * ``_fulfilled``: bytearray flag per instruction;
     * ``blocked``: ``array('i')`` of unfulfilled-predecessor counts,
-      recomputed from the CSR predecessor lists on snapshot (re)binding,
-      then decremented on every fulfilment;
+      recomputed from the in-degrees and the successor rows on snapshot
+      (re)binding, then decremented on every fulfilment;
     * ``earliest``: ``array('i')`` earliest start within the current
       pass, folded incrementally on issue;
     * ``_local`` / ``_carry``: issue cycles (current pass / shifted
@@ -64,7 +65,6 @@ class DenseDependenceState:
         #: previous one -- begin_block only visits these, not all of n
         self._pass_issued: list[int] = []
         self._carried: list[int] = []
-        self._n_fulfilled = 0
         self._zeros = array("i")
         self._version = -1
         self._bind()
@@ -91,42 +91,30 @@ class DenseDependenceState:
             self._m.inc("sched.soa.dense_bytes", dense.nbytes())
 
     def _recompute(self) -> None:
-        """Blocked counts and earliest starts, from scratch (O(V+E))."""
+        """Blocked counts and earliest starts from the snapshot: every
+        count starts at the in-degree, and one walk over the successor
+        rows of the fulfilled instructions takes their edges off and folds
+        their starts (only a fulfilled instruction has one)."""
         dense = self._dense
-        n = dense.n
         fulfilled = self._fulfilled
         local = self._local
         carry = self._carry
-        pred_off = dense.pred_off
-        if (self._n_fulfilled == 0 and not self._pass_issued
-                and not self._carried):
-            # fresh state (the common per-region bind): every predecessor
-            # is unfulfilled and nothing has started -- blocked counts are
-            # just the pred degrees, earliest starts are all zero
-            self.blocked = array("i", [pred_off[i + 1] - pred_off[i]
-                                       for i in range(n)])
-            self.earliest = array("i", bytes(4 * n))
-            return
-        pred_idx = dense.pred_idx
-        pred_w = dense.pred_w
-        blocked = array("i", bytes(4 * n))
-        earliest = array("i", bytes(4 * n))
-        for i in range(n):
-            count = 0
-            e = 0
-            for k in range(pred_off[i], pred_off[i + 1]):
-                j = pred_idx[k]
-                if not fulfilled[j]:
-                    count += 1
-                start = local[j]
-                if start == _NEVER:
-                    start = carry[j]
-                if start != _NEVER:
-                    bound = start + pred_w[k]
-                    if bound > e:
-                        e = bound
-            blocked[i] = count
-            earliest[i] = e
+        succ_off = dense.succ_off
+        succ_idx = dense.succ_idx
+        succ_w = dense.succ_w
+        blocked = array("i", dense.indegree)
+        earliest = array("i", bytes(4 * dense.n))
+        for i in range(dense.n):
+            if not fulfilled[i]:
+                continue
+            start = local[i]
+            if start == _NEVER:
+                start = carry[i]
+            for k in range(succ_off[i], succ_off[i + 1]):
+                j = succ_idx[k]
+                blocked[j] -= 1
+                if start != _NEVER and start + succ_w[k] > earliest[j]:
+                    earliest[j] = start + succ_w[k]
         self.blocked = blocked
         self.earliest = earliest
 
@@ -204,7 +192,6 @@ class DenseDependenceState:
         if i < 0 or self._fulfilled[i]:
             return
         self._fulfilled[i] = 1
-        self._n_fulfilled += 1
         dense = self._dense
         blocked = self.blocked
         succ_idx = dense.succ_idx
@@ -215,8 +202,6 @@ class DenseDependenceState:
         fulfilled = self._fulfilled
         first = not fulfilled[i]
         fulfilled[i] = 1
-        if first:
-            self._n_fulfilled += 1
         if self._local[i] == _NEVER:
             self._pass_issued.append(i)
         self._local[i] = cycle
@@ -233,22 +218,3 @@ class DenseDependenceState:
                 earliest[j] = bound
             if first:
                 blocked[j] -= 1
-
-    def mark_issued(self, ins, cycle: int) -> None:
-        i = self.index_of(ins)
-        if i >= 0:
-            self.mark_issued_idx(i, cycle)
-
-    # -- queries -------------------------------------------------------------
-
-    def deps_satisfied(self, ins) -> bool:
-        i = self.index_of(ins)
-        return i < 0 or self.blocked[i] == 0
-
-    def earliest_start(self, ins) -> int:
-        i = self.index_of(ins)
-        return 0 if i < 0 else self.earliest[i]
-
-    def is_fulfilled(self, ins) -> bool:
-        i = self.index_of(ins)
-        return i >= 0 and bool(self._fulfilled[i])

@@ -12,22 +12,20 @@ dynamic updates: after moving ``I`` (defining ``R``) from ``B`` up to
 ``A``, ``R`` becomes live on exit of ``A`` and of every block on a forward
 path from ``A`` to ``B``.
 
-Two dense interned layers keep the hot queries off Python sets:
+Both facts stay in the form they were computed in:
 
-* block labels -> bit positions with per-node reachability masks, so the
-  "blocks between source and target" of :meth:`~LiveOnExitTracker.record_motion`
-  is one mask intersection;
-* registers -> bit positions with a per-label live-on-exit *bitmask*
-  maintained alongside the canonical sets, so the Section 5.3 veto
-  :meth:`~LiveOnExitTracker.blocks_motion` is one AND of two ints instead
-  of a set-membership loop.  The sets remain authoritative (they are the
-  function-wide store shared across region passes); masks are built
-  lazily per label and dual-written on every motion.
+* live-on-exit sets are the liveness solve's own bitmasks over the
+  function's :class:`~repro.dataflow.dense.RegTable`
+  (:meth:`~repro.dataflow.liveness.LivenessInfo.live_out_masks`), so the
+  Section 5.3 veto :meth:`~LiveOnExitTracker.blocks_motion` is one AND;
+* the blocks between a motion's two ends are one intersection of the
+  region's reachability closure (:attr:`repro.pdg.RegionPDG.down` and
+  :attr:`~repro.pdg.RegionPDG.up`).
 """
 
 from __future__ import annotations
 
-from ..cfg.digraph import Digraph
+from ..dataflow.dense import RegTable
 from ..ir.basic_block import BasicBlock
 from ..ir.function import Function
 from ..ir.instruction import Instruction
@@ -35,96 +33,48 @@ from ..ir.operand import Reg
 from ..machine.model import MachineModel
 from ..obs.metrics import NULL_METRICS
 from ..pdg.data_deps import DataDependenceGraph, DepKind, refresh_edge
+from ..pdg.pdg import RegionPDG
 
 
 class LiveOnExitTracker:
-    """Dynamically-updated live-on-exit sets for one region.
+    """Dynamically-updated live-on-exit masks for one region."""
 
-    :meth:`record_motion` is on the scheduler's issue path (every upward
-    motion calls it), so the "blocks between source and target" query is
-    answered from per-region reachability bitsets: block labels are
-    interned to dense bit positions on first use, each node gets a
-    downstream mask (all nodes reachable from it) and an upstream mask
-    (all nodes that reach it, the transpose), and the between-set is one
-    mask intersection -- instead of two full graph traversals per motion.
-    """
-
-    def __init__(self, live_out: dict[str, set[Reg]], forward: Digraph,
-                 metrics=NULL_METRICS, intern_cache=None):
-        """``live_out`` maps block label -> registers live on exit (a
-        mutable copy; :meth:`repro.dataflow.LivenessInfo.live_out_map`
-        provides one).  ``forward`` is the region's forward CFG, used to
-        find the blocks between a motion's source and target.
-
-        ``intern_cache`` is an optional ``(regbit, rmask)`` pair shared
-        by every tracker over the *same* ``live_out`` store: label masks
-        then survive across regions instead of being re-interned per
-        tracker.  Safe because all mutations of the store go through a
-        tracker (the dual-write invariant below is store-wide)."""
+    def __init__(self, live_out: dict[str, int], table: RegTable,
+                 pdg: RegionPDG, metrics=NULL_METRICS):
+        """``live_out`` maps block label -> live-on-exit mask over
+        ``table``; the trackers of one sweep share it, and
+        :meth:`repro.dataflow.LivenessInfo.live_out_masks` gives a fresh
+        one.  ``pdg`` is the region's PDG, whose closure gives the blocks
+        between a motion's source and target."""
         self._live_out = live_out
-        self._forward = forward
+        self._table = table
+        self._pdg = pdg
         self._m = metrics if metrics.enabled else None
-        self._reverse: Digraph | None = None  # fallback path only
-        self._bit: dict | None = None   # label -> dense bit position
-        self._labels: tuple = ()        # bit position -> label
-        self._down: list[int] = []      # node -> mask reachable from it
-        self._up: list[int] = []        # node -> mask reaching it
-        #: register interning for the live-on-exit bitmasks.  Invariant:
-        #: for every label in ``_rmask``, the mask equals the OR of the
-        #: interned bits of that label's canonical set, and every register
-        #: of that set is interned (``_mask_of`` interns on build,
-        #: ``record_motion`` dual-writes set and mask).
-        if intern_cache is None:
-            self._regbit: dict[Reg, int] = {}
-            self._rmask: dict[str, int] = {}
-        else:
-            self._regbit, self._rmask = intern_cache
 
     def live_out_of(self, label: str) -> set[Reg]:
-        return self._live_out.setdefault(label, set())
+        """The registers live on exit from ``label`` as a set, for the
+        checks that restate Section 5.3 on their own (the verifier, the
+        order checker); the scheduler reads the masks."""
+        return self._table.regs_of(self._live_out.get(label, 0))
 
-    def _mask_of(self, label: str) -> int:
-        """The label's live-on-exit set as an int bitmask (lazily built;
-        interns every register of the set)."""
-        mask = self._rmask.get(label)
-        if mask is None:
-            regbit = self._regbit
-            mask = 0
-            for reg in self._live_out.get(label, ()):
-                bit = regbit.get(reg)
-                if bit is None:
-                    bit = len(regbit)
-                    regbit[reg] = bit
-                mask |= 1 << bit
-            self._rmask[label] = mask
-        return mask
+    def is_live(self, reg: Reg, label: str) -> bool:
+        """Is ``reg`` live on exit from ``label``?"""
+        bit = self._table.bit.get(reg)
+        return bit is not None and bool(self._live_out.get(label, 0) >> bit & 1)
 
     def blocks_motion(self, ins: Instruction, target: str) -> bool:
         """Would moving ``ins`` speculatively into ``target`` clobber a
-        live register?  (Definition of illegality, Section 5.3.)
-
-        Answered as ``defs_mask & live_mask``: a register of ``ins`` with
-        no interned bit cannot be in the target's set (building the
-        target's mask interned that whole set, and later insertions
-        intern through :meth:`record_motion`)."""
-        mask = self._mask_of(target)
+        live register?  (Definition of illegality, Section 5.3.)"""
         if self._m is not None:
             self._m.inc("sched.soa.mask_queries")
-        if not mask:
-            return False
-        regbit = self._regbit
-        for reg in ins.reg_defs():
-            bit = regbit.get(reg)
-            if bit is not None and (mask >> bit) & 1:
-                return True
-        return False
+        return bool(self._table.mask_of(ins.defs)
+                    & self._live_out.get(target, 0))
 
     def blocking_regs(self, ins: Instruction, target: str) -> tuple[Reg, ...]:
-        """The registers that make :meth:`blocks_motion` true -- the
-        live-on-exit defs a veto is attributable to.  Off the hot path;
-        tracing uses it to name the rejection reason."""
-        live = self._live_out.get(target, set())
-        return tuple(reg for reg in ins.reg_defs() if reg in live)
+        """The registers that make :meth:`blocks_motion` true, in the
+        order ``ins`` defines them -- the live-on-exit defs a veto is
+        attributable to."""
+        return tuple(reg for reg in ins.defs if self.is_live(reg, target))
 
     def record_motion(self, ins: Instruction, src: str, dst: str) -> None:
         """Update liveness after ``ins`` moved from ``src`` into ``dst``.
@@ -133,104 +83,24 @@ class LiveOnExitTracker:
         of every intermediate block on a forward path ``dst -> ... -> src``
         (exclusive of ``src``, whose own exit liveness is unchanged).
         Called for *every* upward motion, speculative or useful -- either
-        way the moved definition's live range now spans the gap.
+        way the moved definition's live range now spans the gap.  Both
+        ends are blocks of the region.
         """
-        defs = ins.reg_defs()
-        if not defs:
+        if not ins.defs:
             return
-        if self._bit is None:
-            self._build_masks()
-        bit_src = self._bit.get(src)
-        bit_dst = self._bit.get(dst)
-        if bit_src is None or bit_dst is None:
-            self._record_motion_traversal(defs, src, dst)
-            return
-        # blocks on a forward path dst -> ... -> src, minus src, plus dst
-        mask = self._down[bit_dst] & self._up[bit_src]
-        mask &= ~(1 << bit_src)
-        mask |= 1 << bit_dst
-        defbits = self._defbits(defs)
-        labels = self._labels
+        pdg = self._pdg
+        at_dst = pdg.position[dst]
+        mask = pdg.down[at_dst] & pdg.up[pdg.position[src]] | 1 << at_dst
+        defbits = self._table.mask_of(ins.defs)
+        labels = pdg.topo_labels
         live_out = self._live_out
-        rmask = self._rmask
         if self._m is not None:
             self._m.inc("sched.soa.mask_updates")
         while mask:
             low = mask & -mask
             mask ^= low
             label = labels[low.bit_length() - 1]
-            live = live_out.get(label)
-            if live is None:
-                live_out[label] = set(defs)
-            else:
-                live.update(defs)
-            if label in rmask:
-                rmask[label] |= defbits
-
-    def _build_masks(self) -> None:
-        """Intern the forward graph's labels to dense bits and precompute
-        per-node downstream/upstream reachability masks (both include the
-        node itself, matching ``Digraph.reachable_from``)."""
-        nodes = self._forward.nodes
-        bit = {label: pos for pos, label in enumerate(nodes)}
-        succ_bits = [
-            [bit[succ] for succ in self._forward.succs(label)]
-            for label in nodes
-        ]
-        count = len(nodes)
-        down = [0] * count
-        for pos in range(count):
-            seen = 1 << pos
-            stack = [pos]
-            while stack:
-                here = stack.pop()
-                for nxt in succ_bits[here]:
-                    nxt_bit = 1 << nxt
-                    if not (seen & nxt_bit):
-                        seen |= nxt_bit
-                        stack.append(nxt)
-            down[pos] = seen
-        up = [0] * count
-        for pos in range(count):
-            mask = down[pos]
-            pos_bit = 1 << pos
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                up[low.bit_length() - 1] |= pos_bit
-        self._bit = bit
-        self._labels = tuple(nodes)
-        self._down = down
-        self._up = up
-
-    def _defbits(self, defs) -> int:
-        """The defined registers as an interned bitmask (assigns bits)."""
-        regbit = self._regbit
-        bits = 0
-        for reg in defs:
-            bit = regbit.get(reg)
-            if bit is None:
-                bit = len(regbit)
-                regbit[reg] = bit
-            bits |= 1 << bit
-        return bits
-
-    def _record_motion_traversal(self, defs, src: str, dst: str) -> None:
-        """Traversal fallback for labels outside the interned graph
-        (the same blocks, plus the bitmask dual-write)."""
-        if self._reverse is None:
-            self._reverse = self._forward.reversed()
-        downstream = self._forward.reachable_from(dst)
-        upstream = self._reverse.reachable_from(src)
-        between = (downstream & upstream) - {src}
-        between.add(dst)
-        defbits = self._defbits(defs)
-        rmask = self._rmask
-        for label in between:
-            live = self._live_out.setdefault(label, set())
-            live.update(defs)
-            if label in rmask:
-                rmask[label] |= defbits
+            live_out[label] = live_out.get(label, 0) | defbits
 
 
 def try_rename_for_motion(
@@ -258,8 +128,7 @@ def try_rename_for_motion(
     ``ins``, i.e. ``R`` is not live on exit of ``home`` unless a later def
     of ``R`` inside ``home`` cuts the web off.
     """
-    live = live_tracker.live_out_of(target_label)
-    conflicting = [r for r in ins.reg_defs() if r in live]
+    conflicting = live_tracker.blocking_regs(ins, target_label)
     if not conflicting:
         return True
     position = home.index_of(ins)
@@ -268,7 +137,7 @@ def try_rename_for_motion(
             return False
     for reg in conflicting:
         _rename_web(ins, home, position, reg, func, ddg, machine)
-    return not any(r in live for r in ins.reg_defs())
+    return not live_tracker.blocking_regs(ins, target_label)
 
 
 def _web_is_local(home: BasicBlock, position: int, reg: Reg,
@@ -279,7 +148,7 @@ def _web_is_local(home: BasicBlock, position: int, reg: Reg,
     for ins in home.instrs[position + 1:]:
         if reg in ins.reg_defs():
             return True  # web ends at the next definition
-    return reg not in live_tracker.live_out_of(home.label)
+    return not live_tracker.is_live(reg, home.label)
 
 
 def _rename_web(ins: Instruction, home: BasicBlock, position: int, reg: Reg,

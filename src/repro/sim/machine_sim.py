@@ -91,8 +91,6 @@ class SimulationResult:
     instructions: int
     #: issue cycle of every instruction of the trace, in order
     issue_cycles: list[int] = field(default_factory=list)
-    #: issue cycle of the first instruction of each trace block
-    block_starts: list[int] = field(default_factory=list)
     #: instruction-cache misses (0 with the default perfect cache)
     icache_misses: int = 0
     #: forced result-buffer drains (0 unless the machine is an
@@ -363,13 +361,8 @@ class TraceSimulator:
 
     def run_blocks(self, blocks: list[BasicBlock]) -> SimulationResult:
         """Simulate the instruction stream of ``blocks`` in order."""
-        block_starts: list[int] = []
         count = 0
         for block in blocks:
-            block_starts.append(
-                self._peek_next_cycle(block.instrs[0]) if block.instrs
-                else self._last_issue
-            )
             self._issue_all(block.instrs)
             count += len(block.instrs)
         last = max(self._issue_cycles, default=-1)
@@ -377,7 +370,6 @@ class TraceSimulator:
             cycles=last + 1,
             instructions=count,
             issue_cycles=list(self._issue_cycles),
-            block_starts=block_starts,
             icache_misses=self.icache_misses,
             buffer_drains=self.buffer_drains,
         )
@@ -391,28 +383,6 @@ class TraceSimulator:
         self._icache_tags[line_index] = tag
         self.icache_misses += 1
         return self.config.icache.miss_penalty
-
-    def _peek_next_cycle(self, ins: Instruction) -> int:
-        """The cycle ``ins`` would issue at, without issuing it."""
-        record = self._records.get(ins) or self._decode(ins)
-        earliest = self._last_issue
-        for slot in record.uses:
-            earliest = max(earliest, self._ready[slot])
-        if record.folded:
-            return earliest
-        if self._buffers is not None:
-            drains = self._buffer_overflow(record, earliest)
-            if drains:
-                earliest += drains * self._buffers.drain_penalty
-        if earliest == self._row_cycle:
-            # the room test of _issue_all
-            row, unit, lanes = self._row, record.unit, record.lanes
-            if (row[unit] >= max(record.capacity, 1)
-                    or self._issued >= self._width
-                    or (lanes is not None
-                        and self._free_lane(lanes, unit, row) is None)):
-                return earliest + 1
-        return earliest
 
 
 def simulate_trace(

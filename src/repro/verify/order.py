@@ -157,8 +157,8 @@ def check_order(before: Function, after: Function, events,
     work = before.clone()
     if live_at_exit is None:
         live_at_exit = default_live_at_exit(work)
-    live_out = compute_liveness(work, live_at_exit,
-                                ControlFlowGraph(work)).live_out_map()
+    liveness = compute_liveness(work, live_at_exit, ControlFlowGraph(work))
+    live_out = (liveness.live_out_masks(), liveness.table)
     specs = {spec.header_node: spec for spec in find_regions(work)}
     rules = (level, max_speculation, rename_on_demand, allow_duplication,
              priority_fn, {ins.uid: ins for ins in after.instructions()})
@@ -196,7 +196,7 @@ class _Region:
         self.machine, self.report = machine, report
         (self.level, self.max_speculation, self.rename_on_demand,
          self.allow_duplication, self.priority_fn, self.live) = rules
-        self.tracker = LiveOnExitTracker(live_out, self.pdg.forward)
+        self.tracker = LiveOnExitTracker(*live_out, self.pdg)
         self.dcp = d_and_cp([self.pdg.block(n) for n in self.pdg.topo_labels],
                               self.pdg.ddg, machine)
         #: id -> (pass number, cycle) of every instruction issued so far

@@ -454,7 +454,7 @@ def _check_dependences(
         for edge in pdg.ddg.edges():
             a = loops.get(id(edge.src)) or after_at.get(edge.src.uid)
             b = loops.get(id(edge.dst)) or after_at.get(edge.dst.uid)
-            _judge(report, edge, a, b, pdg.reachable_pairs)
+            _judge(report, edge, a, b, pdg.reaches)
 
 
 def _check_blocks(
@@ -476,7 +476,7 @@ def _check_blocks(
             continue
         for edge in build_block_ddg(block, machine, reduce=False).edges():
             _judge(report, edge, after_at.get(edge.src.uid),
-                   after_at.get(edge.dst.uid), frozenset())
+                   after_at.get(edge.dst.uid), None)
 
 
 def _judge(
@@ -484,9 +484,12 @@ def _judge(
     edge: DepEdge,
     a: _Placed | None,
     b: _Placed | None,
-    reachable_pairs,
+    reaches,
 ) -> None:
-    """Report ``edge`` unless the schedule still runs it forward."""
+    """Report ``edge`` unless the schedule still runs it forward: in one
+    block in order, or across blocks that ``reaches`` (a region's
+    :meth:`~repro.pdg.RegionPDG.reaches`; None: no two blocks are
+    ordered) joins by a forward path."""
     report.checked_edges += 1
     if a is None or b is None:
         return  # conservation already reported it
@@ -499,7 +502,7 @@ def _judge(
                        f"I{edge.src.uid} at index {a.index} is not "
                        f"before I{edge.dst.uid} at {b.index}",
                        edge.dst.uid)
-    elif (a.label, b.label) not in reachable_pairs:
+    elif reaches is None or not reaches(a.label, b.label):
         report.add("dependence",
                    f"{edge!r} broken across blocks: I{edge.src.uid} "
                    f"in {a.label} no longer executes before "
@@ -518,7 +521,7 @@ def _replay_motions(
     """Re-run the Section 5.3 discipline over the recorded motions.
 
     The tracker is seeded exactly like the scheduling driver's (one shared
-    live-out map across regions, one tracker per region forward graph) and
+    live-out store across regions, one tracker per region PDG) and
     updated after *every* motion, so the replay sees the same dynamic
     liveness the scheduler saw -- a scheduler that skipped the test is
     caught on the first clobbering motion.
@@ -529,7 +532,7 @@ def _replay_motions(
         live_at_exit = default_live_at_exit(before)
     liveness = compute_liveness(before, live_at_exit,
                                 ControlFlowGraph(before))
-    live_out_map = liveness.live_out_map()
+    live_out = liveness.live_out_masks()
     trackers: dict[str, LiveOnExitTracker] = {}
     for motion in motions:
         report.checked_motions += 1
@@ -539,10 +542,15 @@ def _replay_motions(
                        f"{motion!r} targets a block outside every region",
                        motion.uid)
             continue
+        if region_of.get(motion.src) is not spec:
+            report.add("speculation",
+                       f"{motion!r} comes from outside its target's region",
+                       motion.uid)
+            continue
         tracker = trackers.get(spec.header_node)
         if tracker is None:
-            tracker = LiveOnExitTracker(live_out_map,
-                                        pdg_of(spec).forward)
+            tracker = LiveOnExitTracker(live_out, liveness.table,
+                                        pdg_of(spec))
             trackers[spec.header_node] = tracker
         placed = after_at.get(motion.uid)
         if placed is None:

@@ -92,3 +92,27 @@ def figure2() -> Function:
 def block_uids(func: Function) -> dict[str, list[int]]:
     """Map block label -> instruction uids in order (schedule shape)."""
     return {b.label: [ins.uid for ins in b.instrs] for b in func.blocks}
+
+
+def dag_function(rng, n_blocks: int) -> Function:
+    """A loop-free function over blocks ``B0``..``B{n-1}`` whose forward
+    CFG is random: each block but the last falls through, jumps or
+    branches to a later block, every block keeps a predecessor, and the
+    last returns.  Block ``Bi`` defines ``r{i+1}``."""
+    lines = ["function dag"]
+    entered = {0}
+    for i in range(n_blocks):
+        lines += [f"B{i}:", f"    LI r{i + 1}={i}"]
+        if i == n_blocks - 1:
+            lines.append("    RET")
+            break
+        kind = rng.choice(("fall", "jump", "branch") if i + 1 in entered
+                          else ("fall", "branch"))
+        if kind != "fall":
+            target = rng.randrange(i + 1, n_blocks)
+            entered.add(target)
+            lines.append(f"    B B{target}" if kind == "jump"
+                         else f"    BF B{target},cr0,0x1/lt")
+        if kind != "jump":
+            entered.add(i + 1)
+    return parse_function("\n".join(lines))

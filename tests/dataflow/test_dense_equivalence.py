@@ -345,7 +345,8 @@ def assert_liveness_agrees(func, live_at_exit):
         for ins in reversed(block.instrs):
             live_in = (live_in - set(ins.reg_defs())) | set(ins.reg_uses())
         assert dense.live_in(block) == live_in, block.label
-    assert dense.live_out_map() == live
+    assert dense.live_out_masks() == {
+        label: dense.table.mask_of(regs) for label, regs in live.items()}
 
 
 @pytest.mark.parametrize("func,live_at_exit", _analysis_functions(),

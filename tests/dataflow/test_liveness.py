@@ -94,8 +94,10 @@ class TestBlockUseDef:
         assert uses == set() and defs == set()
 
 
-def test_live_out_map_is_mutable_copy(figure2):
+def test_live_out_masks_is_mutable_copy(figure2):
     live = compute_liveness(figure2)
-    m = live.live_out_map()
-    m["CL.0"].add(gpr(77))
+    masks = live.live_out_masks()
+    masks["CL.0"] |= live.table.mask_of([gpr(77)])
     assert gpr(77) not in live.live_out("CL.0")
+    assert live.live_out_masks()["CL.0"] == live.table.mask_of(
+        live.live_out("CL.0"))

@@ -1,14 +1,25 @@
 """Forward control dependence tests against the paper's Figure 4."""
 
-from repro.cfg import ControlFlowGraph, Digraph, ENTRY, EXIT, dominator_tree
+from repro.cfg import (
+    ENTRY,
+    EXIT,
+    ControlFlowGraph,
+    Digraph,
+    dominator_tree,
+    postdominator_tree,
+)
 from repro.pdg import ControlDep, control_dependences, forward_graph
+
+
+def cd_sets(forward, exit_node):
+    return control_dependences(forward,
+                               postdominator_tree(forward, exit_node))
 
 
 def figure2_cd_sets(figure2):
     cfg = ControlFlowGraph(figure2)
     dom = dominator_tree(cfg.graph, ENTRY)
-    fwd = forward_graph(cfg.graph, dom)
-    return control_dependences(fwd, ENTRY, EXIT)
+    return cd_sets(forward_graph(cfg.graph, dom), EXIT)
 
 
 class TestFigure4:
@@ -64,7 +75,7 @@ class TestDiamond:
         for e in [("E", "a"), ("a", "b"), ("a", "c"), ("b", "d"),
                   ("c", "d"), ("d", "X")]:
             g.add_edge(*e)
-        cd = control_dependences(g, "E", "X")
+        cd = cd_sets(g, "X")
         assert cd["b"] == frozenset({ControlDep("a", "b")})
         assert cd["c"] == frozenset({ControlDep("a", "c")})
         assert cd["d"] == frozenset()
@@ -76,7 +87,7 @@ class TestDiamond:
                   ("b", "d"), ("c", "e"), ("d", "e"), ("e", "g"),
                   ("f", "g"), ("g", "X")]:
             g.add_edge(*e)
-        cd = control_dependences(g, "E", "X")
+        cd = cd_sets(g, "X")
         assert cd["c"] == frozenset({ControlDep("b", "c")})
         assert cd["e"] == cd["b"] == frozenset({ControlDep("a", "b")})
         assert cd["g"] == frozenset()

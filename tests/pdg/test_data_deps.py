@@ -171,8 +171,8 @@ a:
 b:
     L r2=x(r10,4)
 """)
-        pairs = {("a", "b")}
-        ddg = build_region_ddg(list(func.blocks), pairs, rs6k())
+        up = [0, 0b1]  # block a reaches block b
+        ddg = build_region_ddg(list(func.blocks), up, rs6k())
         st = func.block("a").instrs[0]
         ld = func.block("b").instrs[0]
         # across blocks the base value is path-dependent: keep the edge

@@ -11,8 +11,10 @@ of the register lies between them.
 One property checks the builder and the reduction together: every
 conflicting pair, in region order, is joined by a path of the reduced
 DDG whose weight covers the pair's required separation.  Brute force
-over all pairs -- nothing of the builder's per-block summaries or the
-reduction's shared tables is reused.
+over all pairs -- nothing of the builder's per-block summaries, the
+region's reachability closure or the reduction's shared tables is
+reused (which block reaches which is a path search on the forward
+graph).
 
 Two more pin the shape of a region DDG: the reduction runs inside each
 block only.  Every conflicting pair of two different blocks has a
@@ -55,9 +57,12 @@ def corpus():
             for i in range(CORPUS_SIZE)]
 
 
-def conflicts(blocks, reachable_pairs, machine):
+def conflicts(blocks, forward, machine):
     """Every dependent pair ``(a, b, required separation)`` in region
-    order, straight from the definition."""
+    order, straight from the definition; which block reaches which is a
+    path search on the region's ``forward`` graph."""
+    reached = {block.label: forward.reachable_from(block.label)
+               for block in blocks}
     order, addr = [], {}
     for block in blocks:
         tracker = AddressTracker()
@@ -71,7 +76,7 @@ def conflicts(blocks, reachable_pairs, machine):
         for j in range(i + 1, len(order)):
             label_b, b = order[j]
             same = label_a == label_b
-            if not same and (label_a, label_b) not in reachable_pairs:
+            if not same and label_b not in reached[label_a]:
                 continue
             need = -1
             defs_a, uses_b = set(a.reg_defs()), set(b.reg_uses())
@@ -111,7 +116,7 @@ def ddg_violations(func, machine):
     for spec in find_regions(func):
         pdg = build_region_pdg(func, machine, spec)
         paths = {}
-        for a, b, need in conflicts(pdg._ddg_blocks(), pdg.reachable_pairs,
+        for a, b, need in conflicts(pdg._ddg_blocks(), pdg.forward,
                                     machine):
             if id(a) not in paths:
                 paths[id(a)] = longest_paths(pdg.ddg, a, machine)
@@ -143,7 +148,7 @@ def interblock_gaps(func, machine):
         pdg = build_region_pdg(func, machine, spec)
         blocks = pdg._ddg_blocks()
         home = {id(ins): b.label for b in blocks for ins in b.instrs}
-        for a, b, need in conflicts(blocks, pdg.reachable_pairs, machine):
+        for a, b, need in conflicts(blocks, pdg.forward, machine):
             if home[id(a)] == home[id(b)]:
                 continue
             edge = pdg.ddg.edge(a, b)
@@ -222,8 +227,8 @@ def test_rejects_an_interblock_memory_edge_dropped(corpus, monkeypatch):
     func = _one_region_function(corpus)
     real = data_deps.build_region_ddg
 
-    def dropping(blocks, reachable_pairs, machine, *, reduce=True):
-        ddg = real(blocks, reachable_pairs, machine, reduce=reduce)
+    def dropping(blocks, up, machine, *, reduce=True):
+        ddg = real(blocks, up, machine, reduce=reduce)
         home = {id(ins): b.label for b in blocks for ins in b.instrs}
         for edge in ddg.edges():
             if (edge.kind is DepKind.MEM

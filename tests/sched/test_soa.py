@@ -68,14 +68,8 @@ def test_csr_adjacency_equals_object_graph(seed):
                 (dense.index[id(e.dst)], expected_weight(machine, e))
                 for e in ddg.succs(ins))
             assert succs == expect
-            preds = sorted(
-                (dense.pred_idx[k], dense.pred_w[k])
-                for k in range(dense.pred_off[i], dense.pred_off[i + 1]))
-            expect = sorted(
-                (dense.index[id(e.src)], expected_weight(machine, e))
-                for e in ddg.preds(ins))
-            assert preds == expect
-        assert len(dense.succ_idx) == len(dense.pred_idx) == ddg.edge_count()
+            assert dense.indegree[i] == len(ddg.preds(ins))
+        assert len(dense.succ_idx) == ddg.edge_count()
 
 
 def test_version_bump_invalidates_snapshot_and_keeps_indices_stable():

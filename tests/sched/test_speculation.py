@@ -1,10 +1,10 @@
 """Speculative-motion legality: the paper's Section 5.3 example and the
 dynamic live-on-exit updates."""
 
-from repro.cfg import Digraph
 from repro.dataflow import compute_liveness
-from repro.ir import gpr, parse_function, verify_function
+from repro.ir import Instruction, Opcode, gpr, parse_function, verify_function
 from repro.machine import rs6k
+from repro.pdg import RegionPDG
 from repro.sched import (
     LiveOnExitTracker,
     ScheduleLevel,
@@ -79,15 +79,9 @@ class TestLiveOnExitTracker:
     def make_tracker(self, figure2):
         live = compute_liveness(
             figure2, frozenset({gpr(28), gpr(30), gpr(29), gpr(27), gpr(31)}))
-        forward = Digraph()
-        # forward graph of the loop (back edge removed)
-        for block in figure2.blocks:
-            forward.add_node(block.label)
-        for block in figure2.blocks:
-            for succ in figure2.successors(block):
-                if succ.label != "CL.0":
-                    forward.add_edge(block.label, succ.label)
-        return LiveOnExitTracker(live.live_out_map(), forward)
+        # the loop's region PDG (its forward graph drops the back edge)
+        pdg = RegionPDG(figure2, rs6k(), list(figure2.blocks), "CL.0")
+        return LiveOnExitTracker(live.live_out_masks(), live.table, pdg)
 
     def test_blocks_motion_for_live_register(self, figure2):
         tracker = self.make_tracker(figure2)
@@ -111,20 +105,22 @@ class TestLiveOnExitTracker:
 
     def test_record_motion_spans_intermediate_blocks(self, figure2):
         tracker = self.make_tracker(figure2)
-        i10 = figure2.block("BL5").instrs[0]  # LR r28=r0 two levels down
-        tracker.record_motion(i10, "BL5", "CL.0")
-        live_bl2 = tracker.live_out_of("BL2")
-        assert gpr(28) in live_bl2  # BL2 lies between CL.0 and BL5
-        # blocks not between source and destination are untouched
-        assert gpr(28) in tracker.live_out_of("CL.4") or True  # r28 was live anyway
+        fresh = gpr(77)  # live nowhere before the motion
+        labels = [block.label for block in figure2.blocks]
+        assert not any(tracker.is_live(fresh, label) for label in labels)
+        moved = Instruction(Opcode.LR, defs=(fresh,), uses=(gpr(0),))
+        tracker.record_motion(moved, "BL5", "CL.0")
+        # the target and the blocks on its paths down to BL5, not BL5
+        assert {label for label in labels
+                if tracker.is_live(fresh, label)} == {
+            "CL.0", "BL2", "BL3", "CL.6"}
 
     def test_record_motion_without_defs_is_noop(self, figure2):
         tracker = self.make_tracker(figure2)
-        before = {k: set(v) for k, v in tracker._live_out.items()}
-        from repro.ir import Instruction, Opcode
+        before = dict(tracker._live_out)
         store = Instruction(Opcode.ST, uses=(gpr(1), gpr(2)))
         tracker.record_motion(store, "BL5", "CL.0")
-        assert {k: set(v) for k, v in tracker._live_out.items()} == before
+        assert tracker._live_out == before
 
 
 class TestVerdictsJudgedOnce:

@@ -316,8 +316,6 @@ def test_rejects_issue_without_earliest_start_folding(monkeypatch):
     def no_fold(self, i, cycle):
         first = not self._fulfilled[i]
         self._fulfilled[i] = 1
-        if first:
-            self._n_fulfilled += 1
         if self._local[i] == soa._NEVER:
             self._pass_issued.append(i)
         self._local[i] = cycle

@@ -465,3 +465,31 @@ def test_verifying_leaves_the_snapshot_unchanged():
     assert report.checked_regions > 0
     assert before._next_uid == next_uid
     assert format_function(before) == text
+
+
+def test_motion_from_another_region_is_reported():
+    """A recorded motion whose source lies outside its target's region is
+    a speculation issue, not a crash of the replay."""
+    from dataclasses import replace
+
+    from repro.compiler import lower_source
+    from repro.sched.driver import global_schedule
+    from repro.sched.regions import find_regions
+
+    func = lower_source(MINMAX_C)["minmax"].func
+    machine = rs6k()
+    before = func.clone()
+    sweep = global_schedule(func, machine, ScheduleLevel.SPECULATIVE)
+    motion = sweep.motions[0]
+    region = next(spec for spec in find_regions(before)
+                  if motion.dst in spec.member_labels)
+    outside = next(b.label for b in before.blocks
+                   if b.label not in region.member_labels)
+    report = verify_schedule(before, func, machine,
+                             level=ScheduleLevel.SPECULATIVE,
+                             motions=[replace(motion, src=outside)],
+                             raise_on_error=False)
+    assert [i.message for i in report.issues
+            if i.kind == "speculation"] == [
+        f"{replace(motion, src=outside)!r} comes from outside its "
+        f"target's region"]
